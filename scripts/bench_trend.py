@@ -18,9 +18,11 @@ points of every tracked bench schema. This script maintains it:
 
 Tracked schemas and their identity/value fields:
 
-  dcc.bench.parallel_rounds.v1   keyed on (n, regime, threads, pipeline,
-                                 min_shard, farfield, cache), value
-                                 ms_per_round
+  dcc.bench.parallel_rounds.v1   keyed on (n, regime, threads,
+                                 min_shard, farfield), value ms_per_round;
+                                 legacy points of removed engine knobs
+                                 (pipeline on, prologue cache > 0) are
+                                 skipped
   dcc.bench.service_load.v1      keyed on (workload, phase, connections),
                                  value ms_per_request
   dcc.bench.distrib_rounds.v1    keyed on (n, ranks), value ms_per_round
@@ -48,16 +50,19 @@ from pathlib import Path
 
 SCHEMAS = {
     "dcc.bench.parallel_rounds.v1": {
-        "key_fields": ("n", "regime", "threads", "pipeline", "min_shard",
-                       "farfield", "cache"),
+        "key_fields": ("n", "regime", "threads", "min_shard", "farfield"),
         "value_field": "ms_per_round",
         # The acceptance-relevant configs a trend entry records; everything
         # else in the bench output is transient diagnostics. sparse_wide
-        # tracks the pyramid-vs-flat far-field win; tdma tracks the
-        # prologue-cache win on a periodic schedule.
-        "keep": lambda obj: obj.get("regime") in {"dense", "sparse",
-                                                  "dynamic", "sparse_wide",
-                                                  "tdma"},
+        # tracks the pyramid-vs-flat far-field win; tdma a periodic
+        # schedule. Committed points recorded with the since-removed round
+        # pipeline or prologue cache have no counterpart in new runs; the
+        # rest carry pipeline=false / cache=0 and key like new points.
+        "keep": lambda obj: (obj.get("regime") in {"dense", "sparse",
+                                                   "dynamic", "sparse_wide",
+                                                   "tdma"}
+                             and not obj.get("pipeline")
+                             and not obj.get("cache")),
     },
     "dcc.bench.service_load.v1": {
         "key_fields": ("workload", "phase", "connections"),
@@ -121,10 +126,8 @@ def load_trend(path):
 def fmt_key(key):
     schema = key[0]
     if schema == "dcc.bench.parallel_rounds.v1":
-        n, regime, threads, pipeline, min_shard, farfield, cache = key[1:]
-        pipe = "on" if pipeline else "off"
-        return (f"n={n} {regime} t={threads} pipe={pipe} grain={min_shard} "
-                f"ff={farfield} cache={cache}")
+        n, regime, threads, min_shard, farfield = key[1:]
+        return f"n={n} {regime} t={threads} grain={min_shard} ff={farfield}"
     if schema == "dcc.bench.service_load.v1":
         workload, phase, connections = key[1:]
         return f"service {workload} {phase} c={connections}"

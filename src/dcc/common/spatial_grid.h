@@ -88,9 +88,9 @@ class SpatialGrid {
   // --- Incremental maintenance (dynamic networks). ---
 
   // Bumped on every Move/Insert/Erase (even tile-preserving moves: the
-  // *position* changed, which is what speculative consumers care about).
-  // Anything built against a snapshot of the index — the engine's
-  // pipelined round prologues — records this value and discards the
+  // *position* changed, which is what snapshot consumers care about).
+  // Anything built against a snapshot of the index — the distributed
+  // session's rank-side replicas — records this value and refreshes the
   // snapshot when it moved.
   std::uint64_t generation() const { return generation_; }
 

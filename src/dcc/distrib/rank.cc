@@ -76,10 +76,6 @@ void HandleHello(Replica& rep, const HelloMsg& m, int fd) {
   opts.cell = m.cell;
   if (m.has_coverage) opts.coverage = m.coverage;
   opts.threads = 1;
-  // The only engine options a coordinator ships: perf-only knobs whose
-  // contract is bit-identical receptions.
-  opts.farfield = spec.engine.farfield;
-  opts.prologue_cache = spec.engine.prologue_cache;
   rep.engine.emplace(*rep.net, opts);
 
   const SpatialGrid* grid = rep.engine->grid();

@@ -187,11 +187,6 @@ void Session::EnsureStarted(const sinr::Engine& engine) {
   replica.ranks = 0;
   replica.nonce.reset();
   replica.engine = sinr::Engine::Options{};
-  // Perf-only engine knobs do ride along: they cannot change receptions
-  // (bit-identity is part of their contract), and a rank replaying periodic
-  // schedules benefits from them exactly like the coordinator does.
-  replica.engine.farfield = spec_.engine.farfield;
-  replica.engine.prologue_cache = spec_.engine.prologue_cache;
 
   const sinr::Network& net = engine.net();
   const SpatialGrid& grid = *engine.grid();
@@ -280,7 +275,6 @@ bool Session::StepRound(const sinr::Engine& engine,
   // yields the identical near set either way, so the gate is purely the
   // descent-vs-walk cost crossover.
   const bool use_pyramid =
-      engine.options().farfield == sinr::Engine::FarField::kPyramid &&
       occupied_tx_.size() >= engine.options().pyramid_min_occupied;
   if (use_pyramid) {
     pyramid_.Reset(grid);

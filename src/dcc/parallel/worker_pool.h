@@ -15,8 +15,7 @@
 //  * Idle workers first pop their own deque (newest first), then take from
 //    the injection queue, then steal the *oldest* ticket from another
 //    worker's deque. Stealing oldest-first is what lets the tail of a
-//    sweep donate idle workers to the last runs' engine shards (and to
-//    pipelined round prologues submitted via Submit()).
+//    sweep donate idle workers to the last runs' engine shards.
 //  * A ticket is a hint, not an obligation: the dispenser hands each job
 //    index out exactly once, so a stale ticket for a completed task is a
 //    cheap no-op. Tasks are reference-counted (caller + one ref per

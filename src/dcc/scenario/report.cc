@@ -38,13 +38,7 @@ void RunReport::PrintJson(std::ostream& os) const {
       os << parallel.shard_load[i];
     }
     os << "], \"imbalance\": " << JsonNumber(parallel.imbalance)
-       << ", \"rounds_pipelined\": " << parallel.rounds_pipelined
-       << ", \"prologue_overlap_ns\": " << parallel.prologue_overlap_ns
-       << ", \"steal_count\": " << parallel.steal_count
        << ", \"tile_states_computed\": " << parallel.tile_states_computed
-       << ", \"tile_states_reused\": " << parallel.tile_states_reused
-       << ", \"prologue_cache_hits\": " << parallel.prologue_cache_hits
-       << ", \"prologue_cache_misses\": " << parallel.prologue_cache_misses
        << '}';
   }
   if (!distrib.empty()) {
@@ -69,13 +63,7 @@ void FillParallelSection(RunReport& rep, const sinr::Engine& engine) {
   rep.parallel.rounds_parallel = st.parallel_rounds;
   rep.parallel.rounds_serial = st.parallel_small_rounds;
   rep.parallel.shard_load = st.shard_listeners;
-  rep.parallel.rounds_pipelined = st.rounds_pipelined;
-  rep.parallel.prologue_overlap_ns = st.prologue_overlap_ns;
-  rep.parallel.steal_count = st.steal_count;
   rep.parallel.tile_states_computed = st.tile_states_computed;
-  rep.parallel.tile_states_reused = st.tile_states_reused;
-  rep.parallel.prologue_cache_hits = st.prologue_cache_hits;
-  rep.parallel.prologue_cache_misses = st.prologue_cache_misses;
   rep.parallel.imbalance = 0.0;
   if (!st.shard_listeners.empty()) {
     std::int64_t total = 0;

@@ -57,24 +57,9 @@ struct RunReport {
     // skew max/mean (1 = perfectly balanced; 0 when no round dispatched).
     std::vector<std::int64_t> shard_load;
     double imbalance = 0.0;
-    // Round pipeline (Options::pipeline): rounds whose prologue came from
-    // a validated SetNextRound speculation (deterministic), and the wall
-    // time of builds that genuinely overlapped shard execution
-    // (timing-dependent). 0/0 with the pipeline off.
-    std::int64_t rounds_pipelined = 0;
-    std::int64_t prologue_overlap_ns = 0;
-    // Shard tickets this engine's fan-outs had stolen from another
-    // worker's deque (nested engines donating idle sweep workers;
-    // deterministically 0 for a top-level engine).
-    std::int64_t steal_count = 0;
-    // Per-listener-tile far-field states built in round prologues vs read
-    // back from the prologue cache (both deterministic: pure functions of
-    // the round schedule and the cache capacity).
+    // Per-listener-tile far-field states built in round prologues (a pure
+    // function of the round schedule).
     std::int64_t tile_states_computed = 0;
-    std::int64_t tile_states_reused = 0;
-    // Prologue-cache probes (0/0 with --prologue-cache=0).
-    std::int64_t prologue_cache_hits = 0;
-    std::int64_t prologue_cache_misses = 0;
     bool empty() const { return threads == 0; }
   };
   ParallelSection parallel;

@@ -62,8 +62,8 @@ class Network {
   void SetPosition(std::size_t i, Vec2 p);
 
   // Bumped on every SetPositions/SetPosition. Consumers holding position
-  // snapshots (the engine's pipelined round prologues) record this value
-  // and discard the snapshot when it moved.
+  // snapshots (the distributed session's rank-side replicas) record this
+  // value and refresh the snapshot when it moved.
   std::uint64_t generation() const { return generation_; }
 
   const Params& params() const { return params_; }

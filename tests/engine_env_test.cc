@@ -1,7 +1,7 @@
 // Engine::Options::FromEnv — strict parsing of DCC_ENGINE_MODE /
-// DCC_ENGINE_CELL / DCC_ENGINE_THREADS / DCC_ENGINE_MIN_SHARD /
-// DCC_ENGINE_FARFIELD / DCC_ENGINE_PROLOGUE_CACHE. Typos must reject, not
-// silently fall back.
+// DCC_ENGINE_CELL / DCC_ENGINE_THREADS / DCC_ENGINE_MIN_SHARD. Typos must
+// reject, not silently fall back, and the removed DCC_ENGINE_FARFIELD /
+// DCC_ENGINE_PROLOGUE_CACHE knobs must reject rather than be ignored.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -90,33 +90,19 @@ TEST_F(EngineEnvTest, RejectsMalformedMinShard) {
   EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
 }
 
-TEST_F(EngineEnvTest, ParsesFarfield) {
+TEST_F(EngineEnvTest, RejectsRemovedFarfield) {
+  // Pyramid vs flat walk is chosen per round by occupied-tile count; a
+  // stale setting of the old knob must fail, whatever its value.
   setenv("DCC_ENGINE_FARFIELD", "flat", 1);
-  EXPECT_EQ(Engine::Options::FromEnv().farfield, Engine::FarField::kFlat);
+  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
   setenv("DCC_ENGINE_FARFIELD", "pyramid", 1);
-  EXPECT_EQ(Engine::Options::FromEnv().farfield, Engine::FarField::kPyramid);
-}
-
-TEST_F(EngineEnvTest, RejectsFarfieldTypos) {
-  setenv("DCC_ENGINE_FARFIELD", "pyramind", 1);
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-  setenv("DCC_ENGINE_FARFIELD", "on", 1);
   EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
 }
 
-TEST_F(EngineEnvTest, ParsesPrologueCache) {
+TEST_F(EngineEnvTest, RejectsRemovedPrologueCache) {
   setenv("DCC_ENGINE_PROLOGUE_CACHE", "8", 1);
-  EXPECT_EQ(Engine::Options::FromEnv().prologue_cache, 8u);
-  setenv("DCC_ENGINE_PROLOGUE_CACHE", "0", 1);  // 0 = off
-  EXPECT_EQ(Engine::Options::FromEnv().prologue_cache, 0u);
-}
-
-TEST_F(EngineEnvTest, RejectsMalformedPrologueCache) {
-  setenv("DCC_ENGINE_PROLOGUE_CACHE", "many", 1);
   EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-  setenv("DCC_ENGINE_PROLOGUE_CACHE", "-1", 1);
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-  setenv("DCC_ENGINE_PROLOGUE_CACHE", "4096", 1);  // above the sanity cap
+  setenv("DCC_ENGINE_PROLOGUE_CACHE", "0", 1);
   EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
 }
 
@@ -132,8 +118,6 @@ TEST_F(EngineEnvTest, EmptyValuesMeanUnset) {
   EXPECT_EQ(opts.cell, 0.0);
   EXPECT_EQ(opts.threads, 1);
   EXPECT_EQ(opts.min_listeners_per_shard, Engine::kMinListenersPerShard);
-  EXPECT_EQ(opts.farfield, Engine::FarField::kPyramid);
-  EXPECT_EQ(opts.prologue_cache, 0u);
 }
 
 }  // namespace

@@ -255,31 +255,6 @@ void ExpectParallelMatchesSerial(const Network& net, Engine::Options base,
         EXPECT_GT(par.stats().parallel_rounds, 0)
             << label << ": round was not actually dispatched";
       }
-      // Pipelined variant: disclosing the next round ahead of time must be
-      // invisible in the output. In grid mode the speculation path must
-      // actually be taken; in exact mode the disclosure is ignored and the
-      // results still match.
-      if (threads > 1) {
-        Engine::Options piped_opts = base;
-        piped_opts.threads = threads;
-        piped_opts.pipeline = true;
-        const Engine piped(net, piped_opts);
-        for (int r = 0; r < 3; ++r) {
-          piped.SetNextRound(tx, listeners);
-          piped.StepInto(tx, listeners, got);
-          ExpectBitIdentical(
-              want, got,
-              label + " piped period=" + std::to_string(period) +
-                  " threads=" + std::to_string(threads) +
-                  " r=" + std::to_string(r));
-        }
-        if (piped.pipeline_enabled() && !listeners.empty()) {
-          EXPECT_GT(piped.stats().rounds_pipelined, 0)
-              << label << ": disclosure was never consumed";
-        } else {
-          EXPECT_EQ(piped.stats().rounds_pipelined, 0) << label;
-        }
-      }
     }
   }
 }
@@ -509,63 +484,6 @@ TEST(ParallelEngineTest, SweepTailDonatesIdleWorkersToNestedEngines) {
       << "no idle worker ever stole a nested shard ticket";
 }
 
-TEST(ParallelEngineTest, PipelineDiscardsStaleAndWrongSpeculation) {
-  // The pipeline must never trade correctness for overlap: a speculative
-  // prologue built against a mutated index (generation check) or from a
-  // wrong disclosure (content check) is discarded and rebuilt fresh.
-  const int n = 500;
-  const double side = 11.0;
-  Network net = MakeUniformNet(n, side, 0.0, 4242);
-  Engine::Options base{.mode = Engine::Mode::kGrid};
-  base.coverage = Box{{0.0, 0.0}, {side, side}};
-  Engine serial(net, base);
-  Engine::Options popts = base;
-  popts.threads = 3;
-  popts.pipeline = true;
-  Engine piped(net, popts);
-  ASSERT_TRUE(piped.pipeline_enabled());
-
-  std::vector<std::size_t> tx, listeners, wrong_tx;
-  SplitTxListeners(n, 5, tx, listeners);
-  SplitTxListeners(n, 3, wrong_tx, listeners);
-  SplitTxListeners(n, 5, tx, listeners);  // restore the matching pair
-  std::vector<Reception> want, got;
-  auto step_both = [&](const std::string& label) {
-    serial.StepInto(tx, listeners, want);
-    piped.StepInto(tx, listeners, got);
-    ExpectBitIdentical(want, got, label);
-  };
-
-  // Round 1: truthful disclosure; its speculative build targets round 2.
-  piped.SetNextRound(tx, listeners);
-  step_both("round 1");
-  // Mutation between rounds: the in-flight build read the old index, so
-  // SyncIndex must abandon it (and the generation stamp would reject it).
-  std::vector<Vec2> pos = net.positions();
-  Xoshiro256ss rng(17);
-  for (auto& p : pos) {
-    p.x = std::min(side, std::max(0.0, p.x + 0.4 * (rng.NextDouble() - 0.5)));
-    p.y = std::min(side, std::max(0.0, p.y + 0.4 * (rng.NextDouble() - 0.5)));
-  }
-  net.SetPositions(pos);
-  serial.SyncIndex();
-  piped.SyncIndex();
-  // Round 2 discloses the WRONG transmitter set before stepping.
-  piped.SetNextRound(wrong_tx, listeners);
-  step_both("round 2 after mutation");
-  // Round 3 steps the real sets: the wrong-guess speculation fails the
-  // content check and is rebuilt.
-  step_both("round 3 after wrong guess");
-  EXPECT_EQ(piped.stats().rounds_pipelined, 0)
-      << "stale or wrong speculation was consumed";
-
-  // A truthful disclosure still works after all those rejections.
-  piped.SetNextRound(tx, listeners);
-  step_both("round 4");
-  step_both("round 5");
-  EXPECT_EQ(piped.stats().rounds_pipelined, 1);
-}
-
 // --- Scenario plumbing ------------------------------------------------------
 
 TEST(ParallelScenarioTest, ParallelRunReportsSectionAndIdenticalMetrics) {
@@ -637,18 +555,6 @@ TEST(ParallelScenarioTest, ThreadsFlagDrivesEngineAndRoundTrips) {
   EXPECT_THROW(scenario::ScenarioSpec::FromArgs({"--threads=100000"}),
                InvalidArgument);
   EXPECT_THROW(scenario::ScenarioSpec::FromArgs({"--threads=-1"}),
-               InvalidArgument);
-}
-
-TEST(ParallelScenarioTest, PipelineFlagDrivesEngineAndRoundTrips) {
-  const auto spec = scenario::ScenarioSpec::FromArgs(
-      {"--topology=uniform:n=32,side=3", "--algo=clustering", "--seeds=1",
-       "--threads=2", "--pipeline=on"});
-  EXPECT_TRUE(spec.engine.pipeline);
-  EXPECT_EQ(scenario::ScenarioSpec::FromArgs(spec.ToArgs()), spec);
-  EXPECT_FALSE(
-      scenario::ScenarioSpec::FromArgs({"--pipeline=off"}).engine.pipeline);
-  EXPECT_THROW(scenario::ScenarioSpec::FromArgs({"--pipeline=maybe"}),
                InvalidArgument);
 }
 

@@ -92,7 +92,6 @@ TEST(ReportSchemaDocTest, ParallelExampleIsCurrent) {
   spec.threads = 2;
   spec.engine.threads = 2;  // what --threads=2 sets
   spec.engine.mode = sinr::Engine::Mode::kGrid;  // what --engine=grid sets
-  spec.engine.prologue_cache = 8;  // what --prologue-cache=8 sets
   const RunReport rep = RunScenario(spec, 1);
   ASSERT_TRUE(rep.ok) << rep.error;
   std::ostringstream out;

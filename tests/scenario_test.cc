@@ -105,6 +105,11 @@ TEST(ScenarioSpecTest, RejectsUnknownOrMalformedFlags) {
   EXPECT_THROW(ScenarioSpec::FromArgs({"--engine=fast"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--cell=-1"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--seeds="}), InvalidArgument);
+  // Removed engine knobs fail loudly instead of being silently ignored.
+  EXPECT_THROW(ScenarioSpec::FromArgs({"--pipeline=on"}), InvalidArgument);
+  EXPECT_THROW(ScenarioSpec::FromArgs({"--prologue-cache=8"}),
+               InvalidArgument);
+  EXPECT_THROW(ScenarioSpec::FromArgs({"--farfield=flat"}), InvalidArgument);
 }
 
 // --- Registries -------------------------------------------------------------
