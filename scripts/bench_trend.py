@@ -6,7 +6,7 @@ recorded run: a timestamp, the host parallelism, and the key config
 points of every tracked bench schema. This script maintains it:
 
   append   read bench JSON lines on stdin (bench_parallel_rounds,
-           bench_service_load and/or bench_distrib_rounds, each with
+           bench_service_load and/or bench_obs_overhead, each with
            --compare_json; concatenating the streams records one
            combined entry) and append one trend entry
   check    read bench JSON lines on stdin and compare against the last
@@ -25,7 +25,6 @@ Tracked schemas and their identity/value fields:
                                  skipped
   dcc.bench.service_load.v1      keyed on (workload, phase, connections),
                                  value ms_per_request
-  dcc.bench.distrib_rounds.v1    keyed on (n, ranks), value ms_per_round
   dcc.bench.obs_overhead.v1      keyed on (n, trace), value ms_per_round;
                                  only trace=off points are tracked (the
                                  "tracing compiled in but disabled is
@@ -36,7 +35,9 @@ Points are matched on (schema, key fields). A schema may pin its own
 regression threshold (the obs overhead gate above); --threshold covers
 the rest. Configs present in one side only produce a warning, never a
 failure — the thread ladder legitimately varies with host core count,
-and a new bench's first run has no baseline.
+and a new bench's first run has no baseline. Committed points of an
+untracked schema (e.g. the removed distributed-rounds bench) are skipped
+without a warning.
 The regression gate can be skipped for a known-slow commit with
 `[bench-skip]` in the commit message (the CI job checks the tag, not this
 script).
@@ -67,11 +68,6 @@ SCHEMAS = {
     "dcc.bench.service_load.v1": {
         "key_fields": ("workload", "phase", "connections"),
         "value_field": "ms_per_request",
-        "keep": lambda obj: True,
-    },
-    "dcc.bench.distrib_rounds.v1": {
-        "key_fields": ("n", "ranks"),
-        "value_field": "ms_per_round",
         "keep": lambda obj: True,
     },
     "dcc.bench.obs_overhead.v1": {
@@ -131,9 +127,6 @@ def fmt_key(key):
     if schema == "dcc.bench.service_load.v1":
         workload, phase, connections = key[1:]
         return f"service {workload} {phase} c={connections}"
-    if schema == "dcc.bench.distrib_rounds.v1":
-        n, ranks = key[1:]
-        return f"n={n} distrib ranks={ranks}"
     if schema == "dcc.bench.obs_overhead.v1":
         n, trace = key[1:]
         return f"n={n} obs trace={trace}"

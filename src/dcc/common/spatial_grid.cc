@@ -102,7 +102,6 @@ void SpatialGrid::Insert(std::size_t i, Vec2 p) {
   DCC_REQUIRE(i >= tile_of_point_.size() || tile_of_point_[i] == kErased,
               "SpatialGrid::Insert: slot already live");
   CheckCovered(p);
-  ++generation_;
   if (i >= tile_of_point_.size()) {
     tile_of_point_.resize(i + 1, kErased);
     slot_of_point_.resize(i + 1, 0);

@@ -11,13 +11,10 @@
 // connection its own thread.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <string_view>
-#include <utility>
 
 namespace dcc::wire {
 
@@ -39,77 +36,5 @@ bool ReadFrame(int fd, std::string* payload);
 // Writes one frame. Throws WireError when the peer is gone or the payload
 // exceeds kMaxFrameBytes.
 void WriteFrame(int fd, const std::string& payload);
-
-// --- Compact binary payload codec. ---
-//
-// The distributed halo exchange (src/dcc/distrib) ships per-round
-// transmitter slices between ranks; JSON would both bloat the frames and
-// lose the bit-exact doubles the serial-equivalence contract needs. The
-// codec is deliberately tiny: fixed-width big-endian integers, doubles as
-// their IEEE-754 bit patterns (byte-exact round trip, NaNs included), and
-// length-prefixed byte strings. Writers append to an internal buffer that
-// becomes one frame payload; readers cursor over a received payload and
-// throw WireError on any over-read — a malformed frame can never read past
-// the buffer.
-
-class PayloadWriter {
- public:
-  void U8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-
-  void U32(std::uint32_t v) {
-    buf_.push_back(static_cast<char>(v >> 24));
-    buf_.push_back(static_cast<char>(v >> 16));
-    buf_.push_back(static_cast<char>(v >> 8));
-    buf_.push_back(static_cast<char>(v));
-  }
-
-  void U64(std::uint64_t v) {
-    U32(static_cast<std::uint32_t>(v >> 32));
-    U32(static_cast<std::uint32_t>(v));
-  }
-
-  // IEEE-754 bit pattern: the value read back is bitwise-equal to the value
-  // written, which is what keeps distributed receptions byte-identical.
-  void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
-
-  void Str(std::string_view s);
-  void Bytes(const void* data, std::size_t len);
-
-  std::size_t size() const { return buf_.size(); }
-  const std::string& buffer() const { return buf_; }
-  std::string Take() { return std::move(buf_); }
-
- private:
-  std::string buf_;
-};
-
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view payload) : buf_(payload) {}
-
-  std::uint8_t U8() {
-    Need(1);
-    return static_cast<std::uint8_t>(buf_[pos_++]);
-  }
-
-  std::uint32_t U32();
-  std::uint64_t U64();
-  double F64() { return std::bit_cast<double>(U64()); }
-  // A length-prefixed byte string; the length is validated against the
-  // remaining payload before anything is copied.
-  std::string Str();
-
-  std::size_t remaining() const { return buf_.size() - pos_; }
-  bool AtEnd() const { return pos_ == buf_.size(); }
-  // Decoders call this last: trailing bytes mean the two ends disagree
-  // about the message layout, which must fail loudly, not silently.
-  void ExpectEnd() const;
-
- private:
-  void Need(std::size_t n) const;
-
-  std::string_view buf_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace dcc::wire

@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "dcc/common/json.h"
-#include "dcc/distrib/session.h"
 #include "dcc/sinr/engine.h"
 
 namespace dcc::scenario {
@@ -41,18 +40,6 @@ void RunReport::PrintJson(std::ostream& os) const {
        << ", \"tile_states_computed\": " << parallel.tile_states_computed
        << '}';
   }
-  if (!distrib.empty()) {
-    os << ", \"distrib\": {\"schema\": \"dcc.distrib.v1\", \"ranks\": "
-       << distrib.ranks << ", \"rounds\": " << distrib.rounds
-       << ", \"halo_tiles\": " << distrib.halo_tiles
-       << ", \"halo_bytes\": " << distrib.halo_bytes
-       << ", \"reply_bytes\": " << distrib.reply_bytes << ", \"rank_load\": [";
-    for (std::size_t i = 0; i < distrib.rank_load.size(); ++i) {
-      if (i) os << ", ";
-      os << distrib.rank_load[i];
-    }
-    os << "], \"imbalance\": " << JsonNumber(distrib.imbalance) << '}';
-  }
   os << '}';
 }
 
@@ -77,29 +64,6 @@ void FillParallelSection(RunReport& rep, const sinr::Engine& engine) {
                           static_cast<double>(st.shard_listeners.size());
       rep.parallel.imbalance = static_cast<double>(peak) / mean;
     }
-  }
-}
-
-void FillDistribSection(RunReport& rep, const distrib::Session& session) {
-  const distrib::Session::Stats& st = session.stats();
-  if (st.rounds <= 0) return;
-  rep.distrib.ranks = st.ranks;
-  rep.distrib.rounds = st.rounds;
-  rep.distrib.halo_tiles = st.halo_tiles;
-  rep.distrib.halo_bytes = st.halo_bytes;
-  rep.distrib.reply_bytes = st.reply_bytes;
-  rep.distrib.rank_load = st.rank_load;
-  rep.distrib.imbalance = 0.0;
-  std::int64_t total = 0;
-  std::int64_t peak = 0;
-  for (const std::int64_t l : st.rank_load) {
-    total += l;
-    peak = std::max(peak, l);
-  }
-  if (total > 0 && !st.rank_load.empty()) {
-    const double mean = static_cast<double>(total) /
-                        static_cast<double>(st.rank_load.size());
-    rep.distrib.imbalance = static_cast<double>(peak) / mean;
   }
 }
 

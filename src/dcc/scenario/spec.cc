@@ -171,14 +171,6 @@ ScenarioSpec ScenarioSpec::FromArgs(const std::vector<std::string>& args) {
       // tickets idle workers steal, so the tail of a sweep donates its
       // freed threads to the runs still going.
       spec.engine.threads = spec.threads;
-    } else if (key == "--ranks") {
-      spec.ranks = static_cast<int>(ParseInt64(val, key));
-      // Each rank is a forked process with its own network replica; cap
-      // well below any sane host's process budget.
-      if (spec.ranks < 0 || spec.ranks > 512) {
-        throw InvalidArgument("--ranks: rank count '" + val +
-                              "' must be in [0, 512] (0 = in-process)");
-      }
     } else {
       throw InvalidArgument("unknown scenario flag '" + key + "'");
     }
@@ -243,7 +235,6 @@ std::vector<std::string> ScenarioSpec::ToArgs() const {
   if (max_rounds != 0) args.push_back("--rounds=" + std::to_string(max_rounds));
   if (faults != 0) args.push_back("--faults=" + std::to_string(faults));
   if (threads != 0) args.push_back("--threads=" + std::to_string(threads));
-  if (ranks != 0) args.push_back("--ranks=" + std::to_string(ranks));
   return args;
 }
 

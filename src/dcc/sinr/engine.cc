@@ -296,12 +296,6 @@ void Engine::StepInto(std::span<const std::size_t> transmitters,
   stats_.transmissions += static_cast<std::int64_t>(transmitters.size());
   out.clear();
   if (transmitters.empty() || listeners.empty()) return;
-  if (mode_ == Mode::kGrid && options_.delegate != nullptr &&
-      options_.delegate->StepRound(*this, transmitters, listeners, out)) {
-    stats_.receptions += static_cast<std::int64_t>(out.size());
-    receptions_metric.Add(static_cast<std::int64_t>(out.size()));
-    return;
-  }
   if (mode_ == Mode::kGrid) {
     StepGrid(transmitters, listeners, out);
   } else {
@@ -311,40 +305,8 @@ void Engine::StepInto(std::span<const std::size_t> transmitters,
   receptions_metric.Add(static_cast<std::int64_t>(out.size()));
 }
 
-void Engine::StepOrdinalsInto(
-    std::span<const std::size_t> transmitters,
-    std::span<const std::size_t> listeners,
-    std::span<const std::uint32_t> ordinals,
-    std::vector<std::pair<std::uint32_t, Reception>>& out) const {
-  DCC_REQUIRE(mode_ == Mode::kGrid,
-              "StepOrdinalsInto: grid mode only (the distributed kernel)");
-  out.clear();
-  if (transmitters.empty() || ordinals.empty()) return;
-  // A rank runs with threads == 1, so BuildPrologue skips the shard
-  // decomposition and this is exactly the serial per-round index build.
-  RoundPrologue& P = prologue_;
-  BuildPrologue(P, transmitters, listeners, ordinals);
-  stats_.tile_states_computed += static_cast<std::int64_t>(P.lt_tiles.size());
-  EnsureScratch(1);
-  RoundScratch& s = scratch_[0];
-  StepGridRange(P, transmitters, listeners, /*all_listeners=*/false, ordinals,
-                s);
-  out.insert(out.end(), s.pending.begin(), s.pending.end());
-  stats_.grid_pruned += s.pruned;
-  stats_.grid_exact_fallbacks += s.exact_fallbacks;
-  s.pruned = 0;
-  s.exact_fallbacks = 0;
-  ClearTxMarks(P, transmitters);
-}
-
-void Engine::ClearTxMarks(RoundPrologue& P,
-                          std::span<const std::size_t> tx) {
-  for (const std::size_t v : tx) P.is_tx[v] = 0;
-}
-
 void Engine::BuildPrologue(RoundPrologue& P, std::span<const std::size_t> tx,
-                           std::span<const std::size_t> listeners,
-                           std::span<const std::uint32_t> ordinals) const {
+                           std::span<const std::size_t> listeners) const {
   DCC_TRACE_SPAN("engine.prologue");
   const Network& net = *net_;
   const SpatialGrid& grid = *grid_;
@@ -437,27 +399,21 @@ void Engine::BuildPrologue(RoundPrologue& P, std::span<const std::size_t> tx,
     }
   }
 
-  BuildTileState(P, listeners, ordinals);
+  BuildTileState(P, listeners);
 }
 
 void Engine::BuildTileState(RoundPrologue& P,
-                            std::span<const std::size_t> listeners,
-                            std::span<const std::uint32_t> ordinals) const {
+                            std::span<const std::size_t> listeners) const {
   DCC_TRACE_SPAN("engine.farfield");
   const Network& net = *net_;
   const PropagationModel& model = net.propagation();
   const SpatialGrid& grid = *grid_;
   const auto tiles = static_cast<std::size_t>(grid.tile_count());
 
-  // The distinct listener tiles this round resolves, ascending — the whole
-  // round's, or only the named ordinals' (the rank path never pays for
-  // tiles it does not own).
+  // The distinct listener tiles this round resolves, ascending.
   if (P.lt_mark.size() != tiles) P.lt_mark.assign(tiles, 0);
   P.lt_tiles.clear();
-  const std::size_t count = ordinals.empty() ? listeners.size()
-                                             : ordinals.size();
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t u = listeners[ordinals.empty() ? k : ordinals[k]];
+  for (const std::size_t u : listeners) {
     const auto t = static_cast<std::size_t>(grid.TileOfPoint(u));
     if (!P.lt_mark[t]) {
       P.lt_mark[t] = 1;
@@ -875,7 +831,7 @@ void Engine::StepGrid(std::span<const std::size_t> transmitters,
                       std::span<const std::size_t> listeners,
                       std::vector<Reception>& out) const {
   RoundPrologue& P = prologue_;
-  BuildPrologue(P, transmitters, listeners, {});
+  BuildPrologue(P, transmitters, listeners);
   stats_.tile_states_computed += static_cast<std::int64_t>(P.lt_tiles.size());
   if (P.small_round) ++stats_.parallel_small_rounds;
 
@@ -912,7 +868,7 @@ void Engine::StepGrid(std::span<const std::size_t> transmitters,
     }
     MergeShards(shards, out);
   }
-  ClearTxMarks(P, transmitters);
+  for (const std::size_t v : transmitters) P.is_tx[v] = 0;
 }
 
 double Engine::Sinr(std::size_t v, std::size_t u,

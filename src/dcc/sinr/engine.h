@@ -68,25 +68,6 @@ struct Reception {
   double sinr = 0.0;
 };
 
-class Engine;
-
-// Hook that can take over whole rounds (Options::delegate). StepInto offers
-// every non-empty grid-mode round to the delegate before resolving it
-// locally; returning true means `out` holds the round's receptions (in the
-// serial emission order — the delegate owns the bit-identity contract),
-// false falls through to the engine's own path. The distributed session
-// (src/dcc/distrib) is the one implementation: it ships the round to rank
-// processes and gathers their replies. Exceptions propagate to the Step
-// caller.
-class StepDelegate {
- public:
-  virtual ~StepDelegate() = default;
-  virtual bool StepRound(const Engine& engine,
-                         std::span<const std::size_t> transmitters,
-                         std::span<const std::size_t> listeners,
-                         std::vector<Reception>& out) = 0;
-};
-
 class Engine {
  public:
   enum class Mode {
@@ -146,11 +127,6 @@ class Engine {
     // flag grammar — tests inject a dedicated pool to pin scheduling
     // behavior without touching the process-wide one.
     parallel::WorkerPool* pool = nullptr;
-    // Round takeover hook (grid mode only): offered every non-empty round
-    // before local resolution. Must outlive the engine. Not in the flag
-    // grammar — the scenario layer wires the distributed session in when
-    // --ranks is set.
-    StepDelegate* delegate = nullptr;
 
     // Options overridden from the environment (benches and dcc_run):
     //   DCC_ENGINE_MODE           = exact | grid | auto (default auto)
@@ -185,20 +161,6 @@ class Engine {
   void StepInto(std::span<const std::size_t> transmitters,
                 std::span<const std::size_t> listeners,
                 std::vector<Reception>& out) const;
-
-  // Resolves exactly the listeners named by `ordinals` (ascending indices
-  // into `listeners`) against the full transmitter set, appending
-  // ordinal-tagged receptions in ordinal order. Grid mode only, always
-  // serial. This is the per-rank kernel of the distributed execution mode
-  // (src/dcc/distrib): a rank owning a subset of the listeners runs the
-  // exact same resolution path a shard worker would, so the gathered
-  // merge stays bit-identical to serial. Listener slots outside `ordinals`
-  // are never read — a rank may leave them zeroed.
-  void StepOrdinalsInto(
-      std::span<const std::size_t> transmitters,
-      std::span<const std::size_t> listeners,
-      std::span<const std::uint32_t> ordinals,
-      std::vector<std::pair<std::uint32_t, Reception>>& out) const;
 
   // SINR of transmitter `v` at listener `u` under transmitter set T.
   double Sinr(std::size_t v, std::size_t u,
@@ -239,16 +201,6 @@ class Engine {
   // Live points in the index (== net().size() minus erased nodes); 0 in
   // exact mode, where no index exists.
   std::size_t IndexSize() const { return grid_ ? grid_->point_count() : 0; }
-
-  // The spatial index (grid mode; nullptr in exact mode). Read-only: the
-  // distributed session reads tile geometry and occupancy to cut rank
-  // ranges and halo sets identical to what the ranks derive themselves.
-  const SpatialGrid* grid() const { return grid_ ? &*grid_ : nullptr; }
-
-  // Distance beyond which tiles contribute through shared far-field bounds
-  // (grid mode). Part of the halo contract: a rank needs exact CSR slices
-  // only for tiles closer than this to its listeners.
-  double far_start() const { return far_start_; }
 
   // Cumulative counters (diagnostics for benches).
   struct Stats {
@@ -299,8 +251,7 @@ class Engine {
   // reusable value: the per-round transmitter index (CSR by tile), the
   // shard plan and ordinal buckets, and the dispatch decision. A pure
   // function of (transmitters, listeners, index state), built serially at
-  // the top of StepGrid (and of StepOrdinalsInto) and read-only for the
-  // rest of the round.
+  // the top of StepGrid and read-only for the rest of the round.
   struct RoundPrologue {
     // Transmitter index: CSR over tiles, positions in CSR order.
     std::vector<char> is_tx;  // per-node transmitter marks (cleared per round)
@@ -368,22 +319,16 @@ class Engine {
   // dispatching — plans contiguous tile shards balanced by this round's
   // listener histogram and buckets listener ordinals by shard (stable, so
   // each shard sees ascending ordinals — the serial processing order).
-  // `ordinals` scopes the hoisted tile state: empty builds it for every
-  // listener's tile (a whole round); a rank passes its owned ordinals so it
-  // never pays for tiles it does not resolve. Read-only for the rest of the
-  // round, which is what lets shard workers share it.
+  // Read-only for the rest of the round, which is what lets shard workers
+  // share it.
   void BuildPrologue(RoundPrologue& P, std::span<const std::size_t> tx,
-                     std::span<const std::size_t> listeners,
-                     std::span<const std::uint32_t> ordinals) const;
+                     std::span<const std::size_t> listeners) const;
   // The hoisted far-field stage of BuildPrologue: collects the distinct
   // listener tiles and computes each one's far-field bounds + close list,
   // via the pyramid or the flat occupied-tile walk (chosen per round by
   // Options::pyramid_min_occupied).
-  void BuildTileState(RoundPrologue& P, std::span<const std::size_t> listeners,
-                      std::span<const std::uint32_t> ordinals) const;
-  // Clears P's is_tx marks for the given transmitter set.
-  static void ClearTxMarks(RoundPrologue& P,
-                           std::span<const std::size_t> tx);
+  void BuildTileState(RoundPrologue& P,
+                      std::span<const std::size_t> listeners) const;
   // Resolves listeners into s.pending, tagged with their ordinal and
   // ordinal-sorted: all of them when `all_listeners` is set (a whole
   // serial grid round), else exactly the ones named by `ordinals`

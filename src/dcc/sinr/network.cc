@@ -51,7 +51,6 @@ Network Network::WithSequentialIds(std::vector<Vec2> positions,
 void Network::SetPositions(std::span<const Vec2> pts) {
   DCC_REQUIRE(pts.size() == pos_.size(),
               "SetPositions: size mismatch (node count is fixed)");
-  ++generation_;
   std::copy(pts.begin(), pts.end(), pos_.begin());
   comm_graph_.clear();
   const std::size_t n = pos_.size();
@@ -68,7 +67,6 @@ void Network::SetPositions(std::span<const Vec2> pts) {
 
 void Network::SetPosition(std::size_t i, Vec2 p) {
   DCC_REQUIRE(i < pos_.size(), "SetPosition: bad node index");
-  ++generation_;
   pos_[i] = p;
   comm_graph_.clear();
   const std::size_t n = pos_.size();

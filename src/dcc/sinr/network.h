@@ -61,11 +61,6 @@ class Network {
   // (refreshes row and column i), O(1) beyond.
   void SetPosition(std::size_t i, Vec2 p);
 
-  // Bumped on every SetPositions/SetPosition. Consumers holding position
-  // snapshots (the distributed session's rank-side replicas) record this
-  // value and refresh the snapshot when it moved.
-  std::uint64_t generation() const { return generation_; }
-
   const Params& params() const { return params_; }
   const std::vector<Vec2>& positions() const { return pos_; }
   Vec2 position(std::size_t i) const { return pos_[i]; }
@@ -118,7 +113,6 @@ class Network {
  private:
   double ComputeGain(std::size_t i, std::size_t j) const;
 
-  std::uint64_t generation_ = 0;
   std::vector<Vec2> pos_;
   std::vector<NodeId> ids_;
   Params params_;

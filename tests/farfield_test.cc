@@ -6,25 +6,19 @@
 //    shadowing on and off;
 //  * receptions are bit-identical with the pyramid descent forced on or
 //    off (Options::pyramid_min_occupied = 0 / SIZE_MAX), across thread
-//    counts, rank counts, and mobility + churn.
+//    counts and mobility + churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dcc/common/rng.h"
 #include "dcc/common/spatial_grid.h"
-#include "dcc/distrib/protocol.h"
-#include "dcc/distrib/session.h"
-#include "dcc/scenario/scenario.h"
-#include "dcc/scenario/spec.h"
 #include "dcc/sinr/engine.h"
 #include "dcc/sinr/farfield.h"
 #include "dcc/sinr/network.h"
@@ -197,40 +191,6 @@ TEST(FarFieldPyramidTest, BoundsConservativeUnderShadowing) {
   RunConservativenessProperty(/*shadowing_spread=*/0.6, /*seed=*/202);
 }
 
-TEST(FarFieldPyramidTest, NearTilesMatchesFlatHaloDerivation) {
-  constexpr int kNx = 20, kNy = 16;
-  const SpatialGrid grid = MakeGrid(kNx, kNy, 1.0);
-  FarFieldPyramid pyr;
-  pyr.Reset(grid);
-  Xoshiro256ss rng(33);
-  std::vector<std::uint32_t> count(static_cast<std::size_t>(kNx) * kNy);
-  for (int it = 0; it < 200; ++it) {
-    std::fill(count.begin(), count.end(), 0);
-    std::vector<int> occupied, listener_tiles;
-    const int n_occ = 1 + static_cast<int>(rng.NextBelow(50));
-    for (int i = 0; i < n_occ; ++i) {
-      count[rng.NextBelow(static_cast<std::uint64_t>(kNx) * kNy)] = 1;
-    }
-    for (int t = 0; t < kNx * kNy; ++t) {
-      if (count[static_cast<std::size_t>(t)] > 0) occupied.push_back(t);
-    }
-    std::set<int> lt;
-    const int n_lt = 1 + static_cast<int>(rng.NextBelow(6));
-    for (int i = 0; i < n_lt; ++i) {
-      lt.insert(
-          static_cast<int>(rng.NextBelow(static_cast<std::uint64_t>(kNx) * kNy)));
-    }
-    listener_tiles.assign(lt.begin(), lt.end());
-    const double far_start = 2.0 + static_cast<double>(rng.NextBelow(8));
-
-    pyr.Rebuild(occupied,
-                [&](int b) { return count[static_cast<std::size_t>(b)]; });
-    EXPECT_EQ(distrib::NearTxTiles(grid, listener_tiles, occupied, far_start),
-              pyr.NearTiles(grid, listener_tiles, occupied, far_start))
-        << "it=" << it;
-  }
-}
-
 // --- Engine: pyramid on/off — bit for bit ----------------------------------
 
 void ExpectBitIdentical(const std::vector<Reception>& ref,
@@ -347,49 +307,6 @@ TEST(FarFieldEngineTest, MobilityChurnStaysIdentical) {
     for (Engine* e : {&a, &b}) {
       e->StepInto(tx, listeners, got);
       ExpectBitIdentical(want, got, "epoch " + std::to_string(epoch));
-    }
-  }
-}
-
-// --- Distributed ranks ------------------------------------------------------
-
-TEST(FarFieldDistribTest, RanksBitIdenticalWithPyramid) {
-  const auto spec =
-      scenario::ScenarioSpec::FromArgs({"--topology=uniform:n=600,side=14"});
-  const std::uint64_t seed = 7;
-  sinr::Network net = scenario::BuildScenarioNetwork(spec, seed);
-
-  // Reference: serial grid, flat far field.
-  Engine::Options flat{.mode = Engine::Mode::kGrid};
-  flat.cell = 1.5;
-  flat.pyramid_min_occupied = SIZE_MAX;  // force the flat walk
-  const Engine ref(net, flat);
-
-  Engine::Options pyr = flat;
-  pyr.pyramid_min_occupied = 0;  // force the descent on this fixture
-
-  for (const int ranks : {0, 2}) {
-    std::unique_ptr<distrib::Session> session;
-    Engine::Options opts = pyr;
-    if (ranks > 0) {
-      session = std::make_unique<distrib::Session>(
-          spec, seed, distrib::Session::Options{ranks, ""});
-      opts.delegate = session.get();
-    }
-    const Engine eng(net, opts);
-    std::vector<std::size_t> tx, listeners;
-    std::vector<Reception> want, got;
-    for (int r = 0; r < 8; ++r) {
-      // Periodic slots: four distinct transmit sets, each stepped twice.
-      tx.clear();
-      listeners.clear();
-      for (std::size_t i = 0; i < net.size(); ++i) {
-        (i % 4 == static_cast<std::size_t>(r % 4) ? tx : listeners).push_back(i);
-      }
-      ref.StepInto(tx, listeners, want);
-      eng.StepInto(tx, listeners, got);
-      ExpectBitIdentical(want, got, "ranks=" + std::to_string(ranks) +
-                                        " round " + std::to_string(r));
     }
   }
 }

@@ -105,11 +105,14 @@ TEST(ScenarioSpecTest, RejectsUnknownOrMalformedFlags) {
   EXPECT_THROW(ScenarioSpec::FromArgs({"--engine=fast"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--cell=-1"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--seeds="}), InvalidArgument);
-  // Removed engine knobs fail loudly instead of being silently ignored.
-  EXPECT_THROW(ScenarioSpec::FromArgs({"--pipeline=on"}), InvalidArgument);
-  EXPECT_THROW(ScenarioSpec::FromArgs({"--prologue-cache=8"}),
-               InvalidArgument);
-  EXPECT_THROW(ScenarioSpec::FromArgs({"--farfield=flat"}), InvalidArgument);
+  // Removed knobs (engine tuning flags and the rank-per-process mode) fail
+  // loudly instead of being silently ignored, whatever their value.
+  for (const char* removed : {"pipeline=on", "prologue-cache=8",
+                              "farfield=flat", "ranks=0", "ranks=2"}) {
+    EXPECT_THROW(ScenarioSpec::FromArgs({std::string("--") + removed}),
+                 InvalidArgument)
+        << removed;
+  }
 }
 
 // --- Registries -------------------------------------------------------------

@@ -54,11 +54,6 @@ void PrintUsage(std::ostream& os) {
         "                             receptions are bit-identical at every\n"
         "                             T, and parallel runs report a\n"
         "                             dcc.parallel.v1 section\n"
-        "  --ranks=N                  distribute rounds across N rank\n"
-        "                             processes (grid mode; fork/exec of\n"
-        "                             dcc_rank over socketpairs). Receptions\n"
-        "                             are bit-identical to --ranks=0 and runs\n"
-        "                             report a dcc.distrib.v1 section (0)\n"
         "\n"
         "driver flags:\n"
         "  --list --json=PATH --quiet --help   (--json=- writes the report\n"
@@ -69,9 +64,8 @@ void PrintUsage(std::ostream& os) {
         "                             exit\n"
         "  --trace=PATH               record spans/counters for the whole\n"
         "                             sweep and write one Chrome-trace JSON\n"
-        "                             (load in Perfetto / chrome://tracing;\n"
-        "                             rank traces are stitched in). Pure\n"
-        "                             observation: receptions stay\n"
+        "                             (load in Perfetto / chrome://tracing).\n"
+        "                             Pure observation: receptions stay\n"
         "                             bit-identical. Summary on stderr\n"
         "  --metrics                  after the sweep, dump the process\n"
         "                             metrics registry (Prometheus text\n"
@@ -183,7 +177,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     const dcc::obs::TraceSummary sum = dcc::obs::Tracer::Global().Drain(out);
-    sum.PrintJson(std::cerr);  // dcc.obs.v1; stdout stays report-only
+    sum.PrintJson(std::cerr);  // dcc.obs.v2; stdout stays report-only
     std::cerr << '\n';
   }
   if (metrics) dcc::obs::MetricsRegistry::Global().PrintText(std::cerr);
