@@ -8,13 +8,21 @@ points of every tracked bench schema. This script maintains it:
   append   read bench JSON lines on stdin (bench_parallel_rounds,
            bench_service_load and/or bench_obs_overhead, each with
            --compare_json; concatenating the streams records one
-           combined entry) and append one trend entry
-  check    read bench JSON lines on stdin and compare against the last
-           committed entry: exit 1 if any matching config slowed down by
-           more than --threshold (default 15%); configs under --min-ms
-           are skipped as noise
+           combined entry) and append one trend entry, stamped with this
+           host's fingerprint
+  check    read bench JSON lines on stdin and compare against the newest
+           committed entry recorded on the same host: exit 1 if any
+           matching config slowed down by more than --threshold (default
+           15%); configs under --min-ms are skipped as noise
   delta    same comparison, but emit a markdown table (for
            $GITHUB_STEP_SUMMARY) and always exit 0
+
+Host fingerprint: the CPU model (/proc/cpuinfo) and the number of CPUs
+this process may run on (os.sched_getaffinity). Timings from different
+hosts measure the hosts, not the code, so check/delta only compare like
+with like: when no committed entry carries this host's fingerprint they
+print a notice naming both hosts and exit 0 (record a baseline for the
+host with `append`).
 
 Tracked schemas and their identity/value fields:
 
@@ -45,6 +53,7 @@ script).
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -119,6 +128,30 @@ def load_trend(path):
     return data
 
 
+def host_fingerprint():
+    """{cpu_model, cpus} of the host running this script."""
+    model = "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux
+        cpus = os.cpu_count() or 0
+    return {"cpu_model": model, "cpus": cpus}
+
+
+def fmt_host(host):
+    if not host:
+        return "an unrecorded host"
+    return f"{host['cpu_model']} x{host['cpus']} CPUs"
+
+
 def fmt_key(key):
     schema = key[0]
     if schema == "dcc.bench.parallel_rounds.v1":
@@ -140,6 +173,7 @@ def cmd_append(args, points):
         "schema": "dcc.bench_trend.v1",
         "recorded_unix": int(time.time()),
         "host_parallelism": args.host_parallelism,
+        "host": host_fingerprint(),
         "label": args.label,
         "points": [points[k] for k in sorted(points, key=str)],
     }
@@ -153,15 +187,22 @@ def cmd_append(args, points):
 
 
 def compare(args, points):
-    """Returns (rows, regressions): per-config comparison vs the last
-    committed entry. Rows are (key, base_ms, new_ms, ratio_or_None)."""
+    """Returns (rows, regressions, notice): per-config comparison vs the
+    newest committed entry from this host. Rows are (key, base_ms, new_ms,
+    ratio_or_None); notice explains an empty comparison."""
     trend = load_trend(Path(args.trend_file))
     if not trend:
-        print("bench_trend: no committed trend entry yet — nothing to "
-              "compare against", file=sys.stderr)
-        return [], []
+        return [], [], ("no committed trend entry yet — nothing to "
+                        "compare against")
+    host = host_fingerprint()
+    same_host = [e for e in trend if e.get("host") == host]
+    if not same_host:
+        return [], [], (f"no committed trend entry from this host "
+                        f"({fmt_host(host)}); the newest is from "
+                        f"{fmt_host(trend[-1].get('host'))} — not "
+                        f"comparing across hosts")
     base = {}
-    for p in trend[-1]["points"]:
+    for p in same_host[-1]["points"]:
         key = point_key(p)
         if key is not None:
             base[key] = p
@@ -182,11 +223,13 @@ def compare(args, points):
         threshold = SCHEMAS[key[0]].get("threshold", args.threshold)
         if ratio > 1.0 + threshold / 100.0:
             regressions.append((key, base_ms, new_ms, ratio, threshold))
-    return rows, regressions
+    return rows, regressions, None
 
 
 def cmd_check(args, points):
-    rows, regressions = compare(args, points)
+    rows, regressions, notice = compare(args, points)
+    if notice:
+        print(f"bench_trend: {notice}", file=sys.stderr)
     if not rows:
         return 0
     for key, base_ms, new_ms, ratio, threshold in regressions:
@@ -196,16 +239,19 @@ def cmd_check(args, points):
               file=sys.stderr)
     if regressions:
         print(f"bench_trend: {len(regressions)} config(s) regressed past "
-              f"their gate vs the last committed trend point "
+              f"their gate vs this host's last committed trend point "
               f"(commit with [bench-skip] to override)", file=sys.stderr)
         return 1
     print(f"bench_trend: {len(rows)} configs within their gates "
-          f"(default {args.threshold}%) of the last committed trend point")
+          f"(default {args.threshold}%) of this host's last committed "
+          f"trend point")
     return 0
 
 
 def cmd_delta(args, points):
-    rows, regressions = compare(args, points)
+    rows, regressions, notice = compare(args, points)
+    if notice:
+        print(f"bench_trend: {notice}\n")
     print("| config | committed ms | this run ms | delta |")
     print("|---|---|---|---|")
     for key, base_ms, new_ms, ratio in rows:

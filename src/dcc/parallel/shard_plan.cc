@@ -6,24 +6,20 @@
 
 namespace dcc::parallel {
 
-void ShardPlan::Reset(int n_tiles, int shards, ShardPolicy policy,
+void ShardPlan::Reset(int n_tiles, int shards,
                       std::span<const std::uint32_t> weights) {
   DCC_REQUIRE(n_tiles >= 0, "ShardPlan: negative tile count");
   DCC_REQUIRE(shards >= 1, "ShardPlan: at least one shard required");
+  if (n_tiles == 0) {
+    bounds_.assign(static_cast<std::size_t>(shards) + 1, 0);
+    return;
+  }
+  DCC_REQUIRE(weights.size() == static_cast<std::size_t>(n_tiles),
+              "ShardPlan: weights must cover every tile");
   bounds_.clear();
   bounds_.reserve(static_cast<std::size_t>(shards) + 1);
   bounds_.push_back(0);
 
-  if (policy == ShardPolicy::kEven || n_tiles == 0) {
-    for (int k = 1; k <= shards; ++k) {
-      bounds_.push_back(static_cast<int>(
-          (static_cast<std::int64_t>(n_tiles) * k) / shards));
-    }
-    return;
-  }
-
-  DCC_REQUIRE(weights.size() == static_cast<std::size_t>(n_tiles),
-              "ShardPlan: weights must cover every tile");
   std::uint64_t total = 0;
   for (const std::uint32_t w : weights) total += w;
 

@@ -6,13 +6,11 @@
 // serial sweep does, which is what keeps parallel rounds bit-identical to
 // serial execution (see engine.h).
 //
-// Two cut policies:
-//  * kEven     — equal-length tile ranges; oblivious to occupancy.
-//  * kBalanced — cut at equal cumulative per-tile weight (the engine passes
-//    this round's listeners-per-tile histogram), so dense regions don't
-//    serialize behind one worker. The plan is a pure function of
-//    (n_tiles, shards, weights) — never of thread scheduling — so results
-//    stay deterministic and machine-independent.
+// Cuts sit at equal cumulative per-tile weight (the engine passes this
+// round's listeners-per-tile histogram), so dense regions don't serialize
+// behind one worker. The plan is a pure function of (n_tiles, shards,
+// weights) — never of thread scheduling — so results stay deterministic
+// and machine-independent.
 //
 // Plans are cheap (O(n_tiles)) and rebuilt per parallel round: mobility and
 // churn move listeners between tiles every epoch, and re-planning from the
@@ -25,21 +23,14 @@
 
 namespace dcc::parallel {
 
-enum class ShardPolicy {
-  kEven,      // equal tile ranges
-  kBalanced,  // equal cumulative weight per shard (default in the engine)
-};
-
 class ShardPlan {
  public:
   ShardPlan() = default;
 
   // Re-plans in place (buffers are reused across rounds). `weights` must
-  // have n_tiles entries under kBalanced and is ignored under kEven;
-  // `shards` >= 1. Shards may come out empty when shards > n_tiles or the
-  // weight mass is concentrated.
-  void Reset(int n_tiles, int shards, ShardPolicy policy,
-             std::span<const std::uint32_t> weights);
+  // have n_tiles entries; `shards` >= 1. Shards may come out empty when
+  // shards > n_tiles or the weight mass is concentrated.
+  void Reset(int n_tiles, int shards, std::span<const std::uint32_t> weights);
 
   int shard_count() const { return static_cast<int>(bounds_.size()) - 1; }
 

@@ -1,31 +1,16 @@
 #include "dcc/parallel/worker_pool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <string>
-#include <utility>
 
 #include "dcc/common/types.h"
-#include "dcc/obs/metrics.h"
-#include "dcc/obs/trace.h"
 
 namespace dcc::parallel {
 
 namespace {
-
-// Identifies the pool whose job the current thread is running (nullptr
-// outside any job). Set around each job, so OnWorkerThread() is true for
-// nested fan-outs from inside a job regardless of which thread runs it.
-thread_local const WorkerPool* t_running_pool = nullptr;
-
-// Worker-thread identity: which pool owns this thread and which deque is
-// its local one. Distinct from t_running_pool — a non-worker caller inside
-// Run has a running pool but no local deque.
-struct WorkerSlot {
-  const WorkerPool* pool = nullptr;
-  int index = -1;
-};
-thread_local WorkerSlot t_worker;
 
 int SharedWorkerCount() {
   const char* env = std::getenv("DCC_POOL_WORKERS");
@@ -51,51 +36,39 @@ int SharedWorkerCount() {
 
 }  // namespace
 
-// A fan-out in flight. `next` is the job dispenser: every participant —
-// caller, ticket holders — claims indices from it, so each job runs
-// exactly once no matter how many (possibly stale) tickets circulate.
-// `active` counts ticket holders currently contributing; the caller drains
-// the dispenser itself and then waits for active == 0, at which point no
-// other thread can reach `fn` again (the dispenser is exhausted and only
-// hands out indices >= n_jobs). Reference-counted: the owner handle plus
-// one reference per published ticket.
-struct WorkerPool::Task {
-  std::function<void(std::size_t)> owned_fn;  // Submit owns its closure
+// One Run in flight, on its caller's stack. `fn` and `n_jobs` are fixed
+// before the fan-out is listed; `next` is the job dispenser every
+// participant claims indices from, so each job runs exactly once; the rest
+// is guarded by the pool's mu_. A helper enters only while the fan-out is
+// listed and leaves by decrementing `active` under mu_, so once the caller
+// has unlinked it and seen active == 0, no other thread can touch it.
+struct WorkerPool::FanOut {
   const std::function<void(std::size_t)>* fn = nullptr;
   std::size_t n_jobs = 0;
-  std::atomic<std::size_t> next{0};       // job dispenser
-  std::atomic<int> active{0};             // ticket holders inside JoinTask
-  std::atomic<int> refs{1};               // owner + live tickets
-  std::atomic<int> stolen_joins{0};       // helpers that arrived via steals
-  std::mutex mu;
-  std::condition_variable cv;  // signaled when active drops to 0
-  std::mutex error_mu;
-  std::exception_ptr error;  // first job exception (guarded by error_mu)
+  std::atomic<std::size_t> next{0};
+  int helper_cap = 0;  // max helpers inside at once
+  int active = 0;      // helpers inside Drain
+  FanOut* older = nullptr;
+  FanOut* newer = nullptr;
+  std::exception_ptr error;         // first job exception
+  std::condition_variable done_cv;  // signaled when active drops to 0
 };
 
 WorkerPool::WorkerPool(int workers) {
-  const std::size_t n = workers > 0 ? static_cast<std::size_t>(workers) : 0;
-  n_workers_ = static_cast<int>(n);
-  deques_ = std::make_unique<Deque[]>(n);
-  threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(static_cast<int>(i)); });
+  n_workers_ = std::max(workers, 0);
+  threads_.reserve(static_cast<std::size_t>(n_workers_));
+  for (int i = 0; i < n_workers_; ++i) {
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 WorkerPool::~WorkerPool() {
   {
-    std::lock_guard<std::mutex> lock(idle_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  idle_cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
-  // Every task is complete by now (Run blocks until done; TaskHandle waits
-  // in its destructor), but stale tickets may still hold references.
-  for (int i = 0; i < n_workers_; ++i) {
-    while (Task* t = deques_[i].PopBottom()) ReleaseRef(t);
-  }
-  for (Task* t : injection_) ReleaseRef(t);
 }
 
 WorkerPool& WorkerPool::Shared() {
@@ -105,241 +78,93 @@ WorkerPool& WorkerPool::Shared() {
   return *pool;
 }
 
-bool WorkerPool::OnWorkerThread() const { return t_running_pool == this; }
-
-void WorkerPool::ReleaseRef(Task* t) {
-  if (t->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete t;
-}
-
-void WorkerPool::RunJob(Task& task, std::size_t i) {
-  const WorkerPool* prev = t_running_pool;
-  t_running_pool = this;
-  try {
-    (*task.fn)(i);
-  } catch (...) {
-    // The first error wins; stop dispensing further jobs so the fan-out
-    // drains quickly (jobs already running finish normally). The caller
-    // reads `error` only after the completion barrier.
-    task.next.store(task.n_jobs, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(task.error_mu);
-    if (!task.error) task.error = std::current_exception();
-  }
-  t_running_pool = prev;
-}
-
-void WorkerPool::JoinTask(Task* task, bool stolen) {
-  // Register before claiming: once a participant holds a job index, its
-  // `active` increment is already visible to anyone who later observes the
-  // dispenser exhausted, so the caller's active==0 wait cannot pass while
-  // a job is still running.
-  task->active.fetch_add(1, std::memory_order_acq_rel);
-  bool joined = false;
-  for (;;) {
-    const std::size_t i = task->next.fetch_add(1, std::memory_order_acq_rel);
-    if (i >= task->n_jobs) break;
-    if (!joined) {
-      joined = true;
-      if (stolen) {
-        task->stolen_joins.fetch_add(1, std::memory_order_relaxed);
-        steal_count_.fetch_add(1, std::memory_order_relaxed);
-        static obs::Counter& steals_metric =
-            obs::MetricsRegistry::Global().GetCounter(
-                "dcc_pool_steals_total",
-                "Fan-outs joined via work stealing");
-        steals_metric.Add(1);
-        DCC_TRACE_INSTANT("pool.steal");
-      }
-    }
-    RunJob(*task, i);
-  }
-  if (task->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    {
-      std::lock_guard<std::mutex> lock(task->mu);
-    }
-    task->cv.notify_all();
-  }
-  ReleaseRef(task);
-}
-
-void WorkerPool::CollectStaleTickets(Deque& d) {
-  for (;;) {
-    Task* t = d.PopBottom();
-    if (t == nullptr) return;
-    if (t->next.load(std::memory_order_relaxed) < t->n_jobs) {
-      // Still live (an unconsumed Submit ticket): put it back and stop.
-      d.TryPush(t);  // space is guaranteed — we just popped it
-      return;
-    }
-    ReleaseRef(t);
-  }
-}
-
-void WorkerPool::PublishTickets(Task* task, int count) {
-  task->refs.fetch_add(count, std::memory_order_relaxed);
-  Deque* local =
-      t_worker.pool == this ? &deques_[t_worker.index] : nullptr;
-  if (local != nullptr) CollectStaleTickets(*local);
-  for (int k = 0; k < count; ++k) {
-    if (local != nullptr && local->TryPush(task)) continue;
-    std::lock_guard<std::mutex> lock(inj_mu_);
-    injection_.push_back(task);
-  }
-  work_signal_.fetch_add(1, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-  }
-  idle_cv_.notify_all();
-}
-
-WorkerPool::Task* WorkerPool::FindWork(int self, bool* stolen) {
-  *stolen = false;
-  if (Task* t = deques_[self].PopBottom()) return t;
-  {
-    std::lock_guard<std::mutex> lock(inj_mu_);
-    if (!injection_.empty()) {
-      Task* t = injection_.front();
-      injection_.pop_front();
-      return t;
-    }
-  }
-  const int n = n_workers_;
-  for (int k = 1; k < n; ++k) {
-    const int victim = (self + k) % n;
-    if (Task* t = deques_[victim].Steal()) {
-      *stolen = true;
-      return t;
+WorkerPool::FanOut* WorkerPool::FindOpen() const {
+  for (FanOut* f = head_; f != nullptr; f = f->newer) {
+    if (f->active < f->helper_cap && f->next.load() < f->n_jobs) {
+      return f;
     }
   }
   return nullptr;
 }
 
-void WorkerPool::WorkerLoop(int self) {
-  t_worker = WorkerSlot{this, self};
+void WorkerPool::Drain(FanOut& f) {
   for (;;) {
-    const std::uint64_t seen = work_signal_.load(std::memory_order_acquire);
-    bool stolen = false;
-    if (Task* t = FindWork(self, &stolen)) {
-      JoinTask(t, stolen);
-      continue;
+    const std::size_t i = f.next.fetch_add(1);
+    if (i >= f.n_jobs) return;
+    try {
+      (*f.fn)(i);
+    } catch (...) {
+      // The first error wins; stop dispensing so the fan-out drains
+      // quickly (jobs already running finish normally).
+      f.next.store(f.n_jobs);
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!f.error) f.error = std::current_exception();
     }
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    if (stop_) return;
-    // A publish between the scan above and this lock moved the signal; go
-    // look again instead of sleeping through it.
-    if (work_signal_.load(std::memory_order_acquire) != seen) continue;
-    idle_cv_.wait(lock);
-    if (stop_) return;
   }
 }
 
-int WorkerPool::Run(std::size_t n_jobs,
-                    const std::function<void(std::size_t)>& fn,
-                    int max_workers) {
-  if (n_jobs == 0) return 0;
-  // The caller occupies one participation slot; tickets cover the rest, and
-  // never more than there are jobs left to hand out.
+void WorkerPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    FanOut* f = nullptr;
+    work_cv_.wait(lock, [&] { return (f = FindOpen()) != nullptr || stop_; });
+    if (f == nullptr) return;  // stopping, and nothing left to help with
+    ++f->active;
+    lock.unlock();
+    Drain(*f);
+    lock.lock();
+    // Signal under the lock: once mu_ is released with active == 0, the
+    // caller may return and destroy *f.
+    if (--f->active == 0) f->done_cv.notify_one();
+  }
+}
+
+void WorkerPool::Run(std::size_t n_jobs,
+                     const std::function<void(std::size_t)>& fn,
+                     int max_workers) {
+  if (n_jobs == 0) return;
+  // The caller occupies one participation slot; helpers cover the rest,
+  // and never more than there are jobs besides the caller's first.
   int helper_cap = max_workers > 0 ? max_workers - 1 : n_workers_;
-  if (helper_cap > n_workers_) helper_cap = n_workers_;
+  helper_cap = std::min(helper_cap, n_workers_);
   if (static_cast<std::size_t>(helper_cap) > n_jobs - 1) {
     helper_cap = static_cast<int>(n_jobs - 1);
   }
-  if (n_workers_ == 0 || n_jobs == 1 || helper_cap <= 0) {
+  if (helper_cap <= 0) {
     for (std::size_t i = 0; i < n_jobs; ++i) fn(i);
-    return 0;
+    return;
   }
 
-  Task* task = new Task;
-  task->fn = &fn;
-  task->n_jobs = n_jobs;
-  PublishTickets(task, helper_cap);
-
-  // The caller participates like any ticket holder, draining the dispenser
-  // until it is exhausted.
-  for (;;) {
-    const std::size_t i = task->next.fetch_add(1, std::memory_order_acq_rel);
-    if (i >= n_jobs) break;
-    RunJob(*task, i);
-  }
-
-  // The caller drained the dispenser (next >= n_jobs), so completion is
-  // exactly "no ticket holder still inside a job": holders register in
-  // `active` before claiming an index, and the dispenser only hands out
-  // indices >= n_jobs from here on. The acq_rel traffic on `active` makes
-  // every job's writes visible to the caller; late stale tickets touch
-  // only the task's own (reference-counted) fields, never `fn`.
+  FanOut f;
+  f.fn = &fn;
+  f.n_jobs = n_jobs;
+  f.helper_cap = helper_cap;
   {
-    std::unique_lock<std::mutex> lock(task->mu);
-    task->cv.wait(lock, [&] {
-      return task->active.load(std::memory_order_acquire) == 0;
-    });
+    std::lock_guard<std::mutex> lock(mu_);
+    f.older = tail_;
+    (tail_ != nullptr ? tail_->newer : head_) = &f;
+    tail_ = &f;
   }
-  const int stolen = task->stolen_joins.load(std::memory_order_relaxed);
-  std::exception_ptr err = task->error;
-  ReleaseRef(task);
-  if (err) std::rethrow_exception(err);
-  return stolen;
-}
-
-WorkerPool::TaskHandle WorkerPool::Submit(std::function<void()> fn) {
-  Task* task = new Task;
-  task->owned_fn = [f = std::move(fn)](std::size_t) { f(); };
-  task->fn = &task->owned_fn;
-  task->n_jobs = 1;
-  // With no workers there is nobody to publish to; Wait() runs it inline.
-  if (n_workers_ > 0) PublishTickets(task, 1);
-  return TaskHandle(task);
-}
-
-WorkerPool::TaskHandle& WorkerPool::TaskHandle::operator=(
-    TaskHandle&& o) noexcept {
-  if (this != &o) {
-    if (task_ != nullptr) {
-      try {
-        Wait();
-      } catch (...) {
-      }
-    }
-    task_ = o.task_;
-    o.task_ = nullptr;
-  }
-  return *this;
-}
-
-WorkerPool::TaskHandle::~TaskHandle() {
-  if (task_ != nullptr) {
-    try {
-      Wait();
-    } catch (...) {
-    }
-  }
-}
-
-bool WorkerPool::TaskHandle::Wait() {
-  Task* task = task_;
-  task_ = nullptr;
-  // Claim the single job: if we get index 0 nobody had started it — run it
-  // inline. Otherwise a ticket holder owns it; it registered in `active`
-  // before claiming, and the dispenser traffic orders that registration
-  // before our fetch, so waiting for active == 0 cannot pass early.
-  const std::size_t i = task->next.fetch_add(1, std::memory_order_acq_rel);
-  const bool elsewhere = i != 0;
-  if (!elsewhere) {
-    try {
-      (*task->fn)(0);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(task->error_mu);
-      if (!task->error) task->error = std::current_exception();
-    }
+  if (helper_cap >= n_workers_) {
+    work_cv_.notify_all();
   } else {
-    std::unique_lock<std::mutex> lock(task->mu);
-    task->cv.wait(lock, [&] {
-      return task->active.load(std::memory_order_acquire) == 0;
-    });
+    for (int k = 0; k < helper_cap; ++k) work_cv_.notify_one();
   }
-  std::exception_ptr err = task->error;
-  ReleaseRef(task);
-  if (err) std::rethrow_exception(err);
-  return elsewhere;
+
+  Drain(f);
+
+  // The dispenser is exhausted, so completion is exactly "no helper still
+  // inside". Helpers leave under mu_, which orders every job's writes
+  // before this wait returns.
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    (f.older != nullptr ? f.older->newer : head_) = f.newer;
+    (f.newer != nullptr ? f.newer->older : tail_) = f.older;
+    f.done_cv.wait(lock, [&] { return f.active == 0; });
+    error = f.error;
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace dcc::parallel

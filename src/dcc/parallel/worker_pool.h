@@ -1,25 +1,25 @@
-// A persistent work-stealing pool for data-parallel fan-out: Run(n, fn)
+// A persistent fork-join pool for data-parallel fan-out: Run(n, fn)
 // executes fn(0..n-1) across the pool's threads plus the calling thread,
 // blocking until every job finished. One process-wide pool
 // (`WorkerPool::Shared()`, sized once to the hardware concurrency) backs
 // both the scenario sweep loop and the engine's sharded rounds, so neither
 // pays thread creation or teardown per call.
 //
-// Scheduling model (work stealing):
-//  * Every fan-out is a heap-allocated task with an atomic job dispenser;
-//    participation is advertised through *tickets* (pointers to the task).
-//    A top-level Run pushes its tickets onto a shared injection queue; a
-//    nested Run — a job fanning out again — pushes them onto the calling
-//    worker's own bottom-growing deque and keeps draining jobs itself, so
-//    nesting never blocks and never degrades to a serial loop.
-//  * Idle workers first pop their own deque (newest first), then take from
-//    the injection queue, then steal the *oldest* ticket from another
-//    worker's deque. Stealing oldest-first is what lets the tail of a
-//    sweep donate idle workers to the last runs' engine shards.
-//  * A ticket is a hint, not an obligation: the dispenser hands each job
-//    index out exactly once, so a stale ticket for a completed task is a
-//    cheap no-op. Tasks are reference-counted (caller + one ref per
-//    ticket) and freed when the last ticket drains.
+// Scheduling model:
+//  * Every Run is a *fan-out* living on its caller's stack: an atomic job
+//    dispenser, a helper cap, a count of helpers inside it, and the first
+//    exception. Run links it onto one FIFO list of open fan-outs (one mutex
+//    and condition variable guard the list), drains the dispenser itself,
+//    unlinks it, and waits until no helper is still inside.
+//  * An idle worker joins the oldest listed fan-out that still has jobs to
+//    hand out and room under its cap, and claims jobs until the dispenser
+//    is exhausted. A nested Run — a job fanning out again — uses the same
+//    list, so nesting never blocks and never degrades to a serial loop:
+//    the tail of a sweep donates its idle workers to the last runs' engine
+//    rounds.
+//  * The dispenser hands each job index out exactly once, so which thread
+//    runs which job never matters for correctness; the caller alone can
+//    always finish every job.
 //
 // Semantics:
 //  * Jobs are independent; the pool guarantees nothing about which thread
@@ -29,23 +29,15 @@
 //    after all jobs drain; later exceptions are dropped.
 //  * Run establishes a full happens-before edge: everything jobs wrote is
 //    visible to the caller when Run returns.
-//  * Submit() schedules a single closure for asynchronous execution by an
-//    idle worker; TaskHandle::Wait() runs it inline when no worker picked
-//    it up, so a 0-worker pool degrades gracefully.
 //
 // `DCC_POOL_WORKERS` overrides Shared()'s worker-thread count (strict
 // parse, [0, 4096]; parallelism() == workers + 1). Useful to exercise the
 // thread ladder on hosts whose hardware_concurrency is 1.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -54,8 +46,6 @@ namespace dcc::parallel {
 
 class WorkerPool {
  public:
-  struct Task;
-
   // Spawns `workers` threads. The calling thread of Run also executes jobs,
   // so parallelism() == workers + 1; workers == 0 is a valid (serial) pool.
   explicit WorkerPool(int workers);
@@ -76,158 +66,28 @@ class WorkerPool {
   // Runs fn(i) for i in [0, n_jobs), returning when all completed. At most
   // max_workers threads participate (0 = no cap beyond parallelism());
   // max_workers == 1, a 0-worker pool, and n_jobs <= 1 run the loop inline
-  // on the caller. Nested calls fan out through the caller's deque (see
-  // header comment) instead of going inline.
-  //
-  // Returns the number of pool threads that joined this fan-out by
-  // stealing one of its tickets from another worker's deque. Only nested
-  // Runs publish deque tickets, so a top-level Run always returns 0 —
-  // helpers arriving through the injection queue are normal staffing, not
-  // steals — which keeps the count deterministic for top-level callers.
-  int Run(std::size_t n_jobs, const std::function<void(std::size_t)>& fn,
-          int max_workers = 0);
-
-  // Handle for a closure scheduled with Submit(). Wait() blocks until the
-  // closure ran, executing it inline on the waiter when no worker claimed
-  // it first, and rethrows any exception it threw. The destructor waits
-  // too (swallowing errors) — call Wait() to observe them.
-  class TaskHandle {
-   public:
-    TaskHandle() = default;
-    TaskHandle(TaskHandle&& o) noexcept : task_(o.task_) { o.task_ = nullptr; }
-    TaskHandle& operator=(TaskHandle&& o) noexcept;
-    ~TaskHandle();
-
-    TaskHandle(const TaskHandle&) = delete;
-    TaskHandle& operator=(const TaskHandle&) = delete;
-
-    bool valid() const { return task_ != nullptr; }
-    // Returns true when another thread executed the closure (the overlap
-    // actually happened), false when the waiter ran it inline just now.
-    // Invalidates the handle.
-    bool Wait();
-
-   private:
-    friend class WorkerPool;
-    explicit TaskHandle(Task* t) : task_(t) {}
-    Task* task_ = nullptr;
-  };
-
-  // Schedules fn to run on an idle worker (one ticket: local deque when
-  // called from a worker, injection queue otherwise). The closure runs at
-  // most once; if no worker picks it up, TaskHandle::Wait() runs it
-  // inline.
-  TaskHandle Submit(std::function<void()> fn);
-
-  // True while the calling thread is executing a job of this pool.
-  bool OnWorkerThread() const;
-
-  // Cumulative deque steals across the pool's lifetime (tickets taken from
-  // another worker's local deque; injection-queue pickups don't count).
-  std::uint64_t steal_count() const {
-    return steal_count_.load(std::memory_order_relaxed);
-  }
+  // on the caller. Safe to call from any thread, including from inside a
+  // job of this pool.
+  void Run(std::size_t n_jobs, const std::function<void(std::size_t)>& fn,
+           int max_workers = 0);
 
  private:
-  // Bounded Chase-Lev-style deque of task tickets. The owning worker
-  // pushes and pops at the bottom; thieves take from the top. All slot
-  // accesses are atomic (a thief may read a slot it then fails to claim),
-  // and a full deque overflows to the injection queue instead of
-  // resizing.
-  class Deque {
-   public:
-    // Owner only. False when full.
-    bool TryPush(Task* t) {
-      const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-      const std::int64_t top = top_.load(std::memory_order_acquire);
-      if (b - top >= kCap) return false;
-      slots_[static_cast<std::size_t>(b & kMask)].store(
-          t, std::memory_order_relaxed);
-      bottom_.store(b + 1, std::memory_order_release);
-      return true;
-    }
+  struct FanOut;
 
-    // Owner only.
-    Task* PopBottom() {
-      const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-      bottom_.store(b, std::memory_order_seq_cst);
-      std::int64_t top = top_.load(std::memory_order_seq_cst);
-      if (top > b) {  // empty
-        bottom_.store(b + 1, std::memory_order_relaxed);
-        return nullptr;
-      }
-      Task* t =
-          slots_[static_cast<std::size_t>(b & kMask)].load(
-              std::memory_order_relaxed);
-      if (top != b) return t;  // more than one element: no thief can race us
-      // Last element: race thieves for it through the top index.
-      if (!top_.compare_exchange_strong(top, top + 1,
-                                        std::memory_order_seq_cst)) {
-        t = nullptr;  // a thief won
-      }
-      bottom_.store(b + 1, std::memory_order_relaxed);
-      return t;
-    }
+  void WorkerLoop();
+  // The oldest listed fan-out a worker may join, or nullptr. Needs mu_.
+  FanOut* FindOpen() const;
+  // Claims and runs jobs of `f` until its dispenser is exhausted.
+  void Drain(FanOut& f);
 
-    // Any thread. Takes the oldest ticket; nullptr when empty or when the
-    // claim raced (callers just move on to the next victim).
-    Task* Steal() {
-      std::int64_t top = top_.load(std::memory_order_seq_cst);
-      const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-      if (top >= b) return nullptr;
-      Task* t =
-          slots_[static_cast<std::size_t>(top & kMask)].load(
-              std::memory_order_relaxed);
-      if (!top_.compare_exchange_strong(top, top + 1,
-                                        std::memory_order_seq_cst)) {
-        return nullptr;
-      }
-      return t;
-    }
-
-   private:
-    static constexpr std::int64_t kCap = 256;  // power of two
-    static constexpr std::int64_t kMask = kCap - 1;
-    std::atomic<std::int64_t> top_{0};
-    std::atomic<std::int64_t> bottom_{0};
-    std::array<std::atomic<Task*>, static_cast<std::size_t>(kCap)> slots_{};
-  };
-
-  void WorkerLoop(int self);
-  // Makes `count` tickets for `task` visible to other threads (local deque
-  // for workers, injection queue otherwise) and wakes sleepers.
-  void PublishTickets(Task* task, int count);
-  // Pops and releases completed-task tickets from the bottom of `d`,
-  // stopping at the first live one. Owner only; keeps a worker's deque
-  // from accumulating stale tickets across many nested Runs.
-  void CollectStaleTickets(Deque& d);
-  // Takes one ticket: own deque, then injection queue, then steal.
-  Task* FindWork(int self, bool* stolen);
-  // Contributes to `task` until its dispenser is exhausted, then drops the
-  // ticket's reference.
-  void JoinTask(Task* task, bool stolen);
-  // Executes job `i`, capturing the first exception into the task.
-  void RunJob(Task& task, std::size_t i);
-  static void ReleaseRef(Task* t);
-
-  // Fixed before any worker spawns: workers consult the count while the
-  // constructor is still growing `threads_`, so they must never read the
-  // vector itself.
   int n_workers_ = 0;
   std::vector<std::thread> threads_;
-  std::unique_ptr<Deque[]> deques_;  // one per worker thread
 
-  std::mutex inj_mu_;
-  std::deque<Task*> injection_;  // tickets from non-worker threads; FIFO
-
-  // Sleep/wake: workers re-scan when the signal moved since their last
-  // failed scan, so a publish between scan and sleep is never missed.
-  std::atomic<std::uint64_t> work_signal_{0};
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  bool stop_ = false;  // guarded by idle_mu_
-
-  std::atomic<std::uint64_t> steal_count_{0};
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // a fan-out was listed, or stop_
+  FanOut* head_ = nullptr;           // open fan-outs, oldest first
+  FanOut* tail_ = nullptr;
+  bool stop_ = false;
 };
 
 }  // namespace dcc::parallel

@@ -167,9 +167,9 @@ ScenarioSpec ScenarioSpec::FromArgs(const std::vector<std::string>& args) {
                               "' must be in [0, 4096] (0 = hardware)");
       }
       // One knob, both layers: sweep workers AND engine round shards. The
-      // shared WorkerPool arbitrates — nested engine fan-outs publish
-      // tickets idle workers steal, so the tail of a sweep donates its
-      // freed threads to the runs still going.
+      // shared WorkerPool arbitrates — idle workers join the oldest open
+      // fan-out, nested engine rounds included, so the tail of a sweep
+      // donates its freed threads to the runs still going.
       spec.engine.threads = spec.threads;
     } else {
       throw InvalidArgument("unknown scenario flag '" + key + "'");

@@ -38,10 +38,10 @@
 //
 // Execution path of a run request:
 //   result cache (CanonicalKey(spec)+seed -> serialized report; a hit
-//   answers with ZERO engine rounds) -> bounded AdmissionQueue onto
-//   WorkerPool::Shared() (backpressure blocks the connection thread, and
-//   engines inside a request shard their rounds on the same pool, so
-//   service traffic, sweeps, and shards share one set of threads) ->
+//   answers with ZERO engine rounds) -> bounded AdmissionQueue, which runs
+//   the request on its connection thread (backpressure blocks that thread;
+//   engines inside a request shard their rounds on WorkerPool::Shared(),
+//   so service traffic, sweeps, and shards share one set of workers) ->
 //   topology cache (TopologyCacheKey -> generated sinr::Network, shared
 //   read-only across runs; single-flight, so simultaneous requests for
 //   one topology batch onto one build) -> RunScenarioOnNetwork.

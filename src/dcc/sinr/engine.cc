@@ -363,8 +363,7 @@ void Engine::BuildPrologue(RoundPrologue& P, std::span<const std::size_t> tx,
     for (const std::size_t u : listeners) {
       ++P.shard_weights[static_cast<std::size_t>(grid.TileOfPoint(u))];
     }
-    P.plan.Reset(grid.tile_count(), P.shards, options_.shard_policy,
-                 P.shard_weights);
+    P.plan.Reset(grid.tile_count(), P.shards, P.shard_weights);
     P.shard_ord_start.assign(static_cast<std::size_t>(P.shards) + 1, 0);
     for (std::size_t ord = 0; ord < n_listen; ++ord) {
       const auto k = static_cast<std::uint32_t>(
@@ -534,19 +533,18 @@ void Engine::StepExact(std::span<const std::size_t> transmitters,
   if (static_cast<int>(stats_.shard_listeners.size()) < shards) {
     stats_.shard_listeners.resize(static_cast<std::size_t>(shards), 0);
   }
-  stats_.steal_count +=
-      pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
-        RoundScratch& s = scratch_[k];
-        s.pending.clear();
-        const std::size_t lo = n_listen * k / static_cast<std::size_t>(shards);
-        const std::size_t hi =
-            n_listen * (k + 1) / static_cast<std::size_t>(shards);
-        for (std::size_t ord = lo; ord < hi; ++ord) {
-          if (auto r = ResolveExact(listeners[ord], transmitters)) {
-            s.pending.emplace_back(static_cast<std::uint32_t>(ord), *r);
-          }
-        }
-      });
+  pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
+    RoundScratch& s = scratch_[k];
+    s.pending.clear();
+    const std::size_t lo = n_listen * k / static_cast<std::size_t>(shards);
+    const std::size_t hi =
+        n_listen * (k + 1) / static_cast<std::size_t>(shards);
+    for (std::size_t ord = lo; ord < hi; ++ord) {
+      if (auto r = ResolveExact(listeners[ord], transmitters)) {
+        s.pending.emplace_back(static_cast<std::uint32_t>(ord), *r);
+      }
+    }
+  });
   for (int k = 0; k < shards; ++k) {
     const std::size_t lo =
         n_listen * static_cast<std::size_t>(k) / static_cast<std::size_t>(shards);
@@ -852,14 +850,13 @@ void Engine::StepGrid(std::span<const std::size_t> transmitters,
     if (static_cast<int>(stats_.shard_listeners.size()) < shards) {
       stats_.shard_listeners.resize(static_cast<std::size_t>(shards), 0);
     }
-    stats_.steal_count +=
-        pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
-          const std::span<const std::uint32_t> ordinals(
-              P.shard_ordinals.data() + P.shard_ord_start[k],
-              P.shard_ord_start[k + 1] - P.shard_ord_start[k]);
-          StepGridRange(P, transmitters, listeners, /*all_listeners=*/false,
-                        ordinals, scratch_[k]);
-        });
+    pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
+      const std::span<const std::uint32_t> ordinals(
+          P.shard_ordinals.data() + P.shard_ord_start[k],
+          P.shard_ord_start[k + 1] - P.shard_ord_start[k]);
+      StepGridRange(P, transmitters, listeners, /*all_listeners=*/false,
+                    ordinals, scratch_[k]);
+    });
     for (int k = 0; k < shards; ++k) {
       stats_.shard_listeners[static_cast<std::size_t>(k)] +=
           static_cast<std::int64_t>(

@@ -38,9 +38,9 @@
 // reception set AND every SINR bit are identical to serial execution at
 // every thread count. Rounds below min_listeners_per_shard * K listeners
 // run serially (the dispatch would cost more than the round). Nested
-// engines (inside a sweep job) dispatch too: the work-stealing pool lets
-// idle workers steal their shard tickets, so the tail of a sweep donates
-// its freed threads to the runs still going.
+// engines (inside a sweep job) dispatch too: their fan-outs join the
+// pool's list of open fan-outs, where idle workers pick them up, so the
+// tail of a sweep donates its freed threads to the runs still going.
 #pragma once
 
 #include <cstddef>
@@ -103,8 +103,6 @@ class Engine {
     // shards regardless of the host (receptions are bit-identical to
     // serial at every setting, so K only affects speed).
     int threads = 1;
-    // How grid-mode shards cut the tile range (see parallel/shard_plan.h).
-    parallel::ShardPolicy shard_policy = parallel::ShardPolicy::kBalanced;
     // Dispatch grain: a round with fewer than min_listeners_per_shard * K
     // listeners runs serially even when threads > 1 (counted in
     // Stats::parallel_small_rounds). Must be >= 1; raising it trades
@@ -220,12 +218,6 @@ class Engine {
     std::int64_t parallel_rounds = 0;
     std::int64_t parallel_small_rounds = 0;
     std::vector<std::int64_t> shard_listeners;
-    // Work stealing: pool threads that joined this engine's shard fan-outs
-    // by stealing a ticket from another worker's deque. Always 0 for a
-    // top-level engine (its tickets go through the injection queue);
-    // nonzero when a nested engine's shards were picked up by idle sweep
-    // workers. Scheduling-dependent, so it stays out of run reports.
-    std::int64_t steal_count = 0;
     // Hoisted per-listener-tile far-field state: distinct listener tiles
     // whose bounds/close lists a prologue build computed (each at most once
     // per round, however many shards read it).

@@ -1,9 +1,10 @@
 // Cut invariants of the domain decomposition (parallel/shard_plan.h):
-// contiguous, disjoint, covering, and (under kBalanced) a pure
-// deterministic function of the weight histogram. The engine's merge
-// relies on every listener tile landing in exactly one shard.
+// contiguous, disjoint, covering, balanced, and a pure deterministic
+// function of the weight histogram. The engine's merge relies on every
+// listener tile landing in exactly one shard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -47,32 +48,30 @@ void CheckStructure(const ShardPlan& plan, int n_tiles, int shards) {
   }
 }
 
-TEST(ShardPlan, EvenCutsAreStructurallySound) {
-  ShardPlan plan;
-  for (const int n_tiles : {0, 1, 7, 64, 129}) {
-    for (const int shards : {1, 2, 3, 8, 150}) {
-      plan.Reset(n_tiles, shards, ShardPolicy::kEven, {});
-      CheckStructure(plan, n_tiles, shards);
-      // Even policy: shard sizes differ by at most one tile.
-      int lo = n_tiles, hi = 0;
-      for (int k = 0; k < shards; ++k) {
-        const int len = plan.end(k) - plan.begin(k);
-        lo = std::min(lo, len);
-        hi = std::max(hi, len);
-      }
-      EXPECT_LE(hi - lo, 1) << n_tiles << " tiles / " << shards << " shards";
-    }
-  }
-}
-
 TEST(ShardPlan, BalancedCutsAreStructurallySound) {
   ShardPlan plan;
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    for (const int n_tiles : {1, 13, 64, 257}) {
+    for (const int n_tiles : {0, 1, 13, 64, 257}) {
       for (const int shards : {1, 2, 5, 16, 300}) {
         const auto w = RandomWeights(n_tiles, seed * 1000 + n_tiles, 50);
-        plan.Reset(n_tiles, shards, ShardPolicy::kBalanced, w);
+        plan.Reset(n_tiles, shards, w);
         CheckStructure(plan, n_tiles, shards);
+        // Balance: a shard exceeds its fair share by at most one tile's
+        // weight (the greedy cut overshoots by at most the tile it closed
+        // on).
+        const std::uint64_t total =
+            std::accumulate(w.begin(), w.end(), std::uint64_t{0});
+        const std::uint32_t max_w =
+            w.empty() ? 0 : *std::max_element(w.begin(), w.end());
+        for (int k = 0; k < shards; ++k) {
+          std::uint64_t load = 0;
+          for (int t = plan.begin(k); t < plan.end(k); ++t) {
+            load += w[static_cast<std::size_t>(t)];
+          }
+          EXPECT_LE(load,
+                    total / static_cast<std::uint64_t>(shards) + max_w + 1)
+              << "shard " << k << " of " << shards << ", tiles " << n_tiles;
+        }
       }
     }
   }
@@ -94,7 +93,7 @@ TEST(ShardPlan, BalancedCutsSitAtWeightThresholds) {
     }
     const std::uint64_t total = prefix.back();
 
-    plan.Reset(n_tiles, shards, ShardPolicy::kBalanced, w);
+    plan.Reset(n_tiles, shards, w);
     const auto bounds = plan.bounds();
     for (int k = 1; k < shards; ++k) {
       const std::uint64_t target =
@@ -124,9 +123,9 @@ TEST(ShardPlan, BalancedCutsMonotoneInLeadingMass) {
     const int n_tiles = 150;
     const int shards = 6;
     auto w = RandomWeights(n_tiles, seed, 30);
-    before.Reset(n_tiles, shards, ShardPolicy::kBalanced, w);
+    before.Reset(n_tiles, shards, w);
     w[0] += 500;
-    after.Reset(n_tiles, shards, ShardPolicy::kBalanced, w);
+    after.Reset(n_tiles, shards, w);
     for (int k = 0; k <= shards; ++k) {
       EXPECT_LE(after.bounds()[static_cast<std::size_t>(k)],
                 before.bounds()[static_cast<std::size_t>(k)])
@@ -138,14 +137,14 @@ TEST(ShardPlan, BalancedCutsMonotoneInLeadingMass) {
 TEST(ShardPlan, ZeroWeightsDegenerateCleanly) {
   ShardPlan plan;
   const std::vector<std::uint32_t> w(64, 0);
-  plan.Reset(64, 4, ShardPolicy::kBalanced, w);
+  plan.Reset(64, 4, w);
   CheckStructure(plan, 64, 4);
 }
 
 TEST(ShardPlan, MoreShardsThanTilesLeavesEmptyShards) {
   ShardPlan plan;
   const auto w = RandomWeights(3, 99, 10);
-  plan.Reset(3, 8, ShardPolicy::kBalanced, w);
+  plan.Reset(3, 8, w);
   CheckStructure(plan, 3, 8);
   int non_empty = 0;
   for (int k = 0; k < 8; ++k) {
