@@ -12,14 +12,14 @@ Round RunSns(sim::Exec& ex, const cluster::Profile& prof,
   const auto sns = prof.MakeSns(ex.net().params().id_space, nonce);
   sim::ExecuteSchedule(
       ex, *sns, parts,
-      [&](std::size_t idx, std::int64_t) -> std::optional<sim::Message> {
+      [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
+        const std::size_t idx = parts[p].index;
         auto m = make_msg(idx);
         if (m && m->src == kNoNode) m->src = ex.net().id(idx);
         return m;
       },
-      [&](std::size_t listener, const sim::Message& m, std::int64_t) {
-        hear(listener, m);
-      });
+      [&](std::size_t listener, std::size_t, const sim::Message& m,
+          std::int64_t) { hear(listener, m); });
   return ex.rounds() - start;
 }
 

@@ -16,28 +16,6 @@ constexpr std::int32_t kInYMsg = 112;
 constexpr std::int32_t kParentClaimMsg = 113;
 constexpr std::int32_t kColorMsg = 114;
 
-// Replays `stage.schedule` once over the stage participants; `payload(p)`
-// produces the message for participant position p (nullopt = silent).
-// Receptions are filtered to participants and delivered as positions.
-void ReplayOnce(
-    sim::Exec& ex, const ExchangeStage& stage,
-    const std::function<std::optional<sim::Message>(std::size_t)>& payload,
-    const std::function<void(std::size_t, const sim::Message&)>& on_hear) {
-  std::unordered_map<std::size_t, std::size_t> pos_of_index;
-  pos_of_index.reserve(stage.participants.size());
-  for (std::size_t p = 0; p < stage.participants.size(); ++p) {
-    pos_of_index.emplace(stage.participants[p].index, p);
-  }
-  sim::ExecuteSchedule(
-      ex, *stage.schedule, stage.participants,
-      [&](std::size_t idx, std::int64_t) { return payload(pos_of_index.at(idx)); },
-      [&](std::size_t listener, const sim::Message& m, std::int64_t) {
-        const auto it = pos_of_index.find(listener);
-        if (it == pos_of_index.end()) return;
-        on_hear(it->second, m);
-      });
-}
-
 }  // namespace
 
 SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
@@ -96,9 +74,9 @@ SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
       // One replay: everyone announces its Y flag; H-neighbors hear it
       // (H-edge deliveries recur under replays — see proximity.h).
       std::vector<std::vector<std::pair<std::size_t, char>>> heard_flags(np);
-      ReplayOnce(
-          ex, stage,
-          [&](std::size_t p) -> std::optional<sim::Message> {
+      sim::ExecuteSchedule(
+          ex, *stage.schedule, parts,
+          [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
             sim::Message m;
             m.src = parts[p].id;
             m.cluster = parts[p].cluster;
@@ -106,8 +84,9 @@ SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
             m.a = in_y[p];
             return m;
           },
-          [&](std::size_t p, const sim::Message& m) {
-            if (m.kind != kInYMsg) return;
+          [&](std::size_t, std::size_t p, const sim::Message& m,
+              std::int64_t) {
+            if (m.kind != kInYMsg || p == sim::kNotParticipant) return;
             for (const std::size_t w : prox.adj[p]) {
               if (parts[w].id == m.src) {
                 if (m.a) y_neighbors[p].push_back(w);
@@ -126,17 +105,18 @@ SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
       const auto plan = mis::LinialPlan(id_space, deg_bound);
       for (const mis::LinialRound& lr : plan) {
         std::vector<std::vector<std::int64_t>> ncolors(np);
-        ReplayOnce(
-            ex, stage,
-            [&](std::size_t p) -> std::optional<sim::Message> {
+        sim::ExecuteSchedule(
+            ex, *stage.schedule, parts,
+            [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
               sim::Message m;
               m.src = parts[p].id;
               m.kind = kColorMsg;
               m.a = color[p];
               return m;
             },
-            [&](std::size_t p, const sim::Message& m) {
-              if (m.kind != kColorMsg) return;
+            [&](std::size_t, std::size_t p, const sim::Message& m,
+                std::int64_t) {
+              if (m.kind != kColorMsg || p == sim::kNotParticipant) return;
               for (const std::size_t w : prox.adj[p]) {
                 if (parts[w].id == m.src) {
                   ncolors[p].push_back(m.a);
@@ -154,17 +134,18 @@ SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
       std::vector<mis::MisState> state(np, mis::MisState::kUndecided);
       for (std::int64_t cls = 0; cls < num_colors; ++cls) {
         std::vector<std::vector<std::pair<NodeId, mis::MisState>>> inbox(np);
-        ReplayOnce(
-            ex, stage,
-            [&](std::size_t p) -> std::optional<sim::Message> {
+        sim::ExecuteSchedule(
+            ex, *stage.schedule, parts,
+            [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
               sim::Message m;
               m.src = parts[p].id;
               m.kind = kMisStateMsg;
               m.a = static_cast<std::int64_t>(state[p]);
               return m;
             },
-            [&](std::size_t p, const sim::Message& m) {
-              if (m.kind != kMisStateMsg) return;
+            [&](std::size_t, std::size_t p, const sim::Message& m,
+                std::int64_t) {
+              if (m.kind != kMisStateMsg || p == sim::kNotParticipant) return;
               for (const std::size_t w : prox.adj[p]) {
                 if (parts[w].id == m.src) {
                   inbox[p].emplace_back(m.src,
@@ -197,17 +178,18 @@ SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
         in_y[p] = state[p] == mis::MisState::kInMis ? 1 : 0;
       }
       // Final Y-flag broadcast (as in the fast path below).
-      ReplayOnce(
-          ex, stage,
-          [&](std::size_t p) -> std::optional<sim::Message> {
+      sim::ExecuteSchedule(
+          ex, *stage.schedule, parts,
+          [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
             sim::Message m;
             m.src = parts[p].id;
             m.kind = kInYMsg;
             m.a = in_y[p];
             return m;
           },
-          [&](std::size_t p, const sim::Message& m) {
-            if (m.kind != kInYMsg) return;
+          [&](std::size_t, std::size_t p, const sim::Message& m,
+              std::int64_t) {
+            if (m.kind != kInYMsg || p == sim::kNotParticipant) return;
             for (const std::size_t w : prox.adj[p]) {
               if (parts[w].id == m.src) {
                 if (m.a) y_neighbors[p].push_back(w);
@@ -222,17 +204,18 @@ SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
       const int rounds_cap = std::max(prof.mis_rounds, 1);
       for (int r = 0; r < rounds_cap; ++r) {
         for (auto& in : inbox) in.clear();
-        ReplayOnce(
-            ex, stage,
-            [&](std::size_t p) -> std::optional<sim::Message> {
+        sim::ExecuteSchedule(
+            ex, *stage.schedule, parts,
+            [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
               sim::Message m;
               m.src = parts[p].id;
               m.kind = kMisStateMsg;
               m.a = static_cast<std::int64_t>(state[p]);
               return m;
             },
-            [&](std::size_t p, const sim::Message& m) {
-              if (m.kind != kMisStateMsg) return;
+            [&](std::size_t, std::size_t p, const sim::Message& m,
+                std::int64_t) {
+              if (m.kind != kMisStateMsg || p == sim::kNotParticipant) return;
               // Accept only H-neighbors.
               for (const std::size_t w : prox.adj[p]) {
                 if (parts[w].id == m.src) {
@@ -256,17 +239,18 @@ SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
       }
       // Y-neighborhood knowledge from the final states heard: replay once
       // more so every node sees neighbors' final states.
-      ReplayOnce(
-          ex, stage,
-          [&](std::size_t p) -> std::optional<sim::Message> {
+      sim::ExecuteSchedule(
+          ex, *stage.schedule, parts,
+          [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
             sim::Message m;
             m.src = parts[p].id;
             m.kind = kInYMsg;
             m.a = in_y[p];
             return m;
           },
-          [&](std::size_t p, const sim::Message& m) {
-            if (m.kind != kInYMsg) return;
+          [&](std::size_t, std::size_t p, const sim::Message& m,
+              std::int64_t) {
+            if (m.kind != kInYMsg || p == sim::kNotParticipant) return;
             for (const std::size_t w : prox.adj[p]) {
               if (parts[w].id == m.src) {
                 if (m.a) y_neighbors[p].push_back(w);
@@ -290,9 +274,9 @@ SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
 
     // One replay: children claim their parents; parents learn children.
     std::vector<char> has_children(np, 0);
-    ReplayOnce(
-        ex, stage,
-        [&](std::size_t p) -> std::optional<sim::Message> {
+    sim::ExecuteSchedule(
+        ex, *stage.schedule, parts,
+        [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
           if (!parent_pos[p]) return std::nullopt;
           sim::Message m;
           m.src = parts[p].id;
@@ -301,8 +285,9 @@ SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
           m.a = parts[*parent_pos[p]].id;
           return m;
         },
-        [&](std::size_t p, const sim::Message& m) {
-          if (m.kind != kParentClaimMsg) return;
+        [&](std::size_t, std::size_t p, const sim::Message& m,
+            std::int64_t) {
+          if (m.kind != kParentClaimMsg || p == sim::kNotParticipant) return;
           if (m.a == parts[p].id) has_children[p] = 1;
         });
 

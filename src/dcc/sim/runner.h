@@ -3,11 +3,16 @@
 // `Exec` is the shared round clock: every protocol stage in a composite
 // algorithm advances the same Exec, so measured round counts are end-to-end.
 //
-// Knowledge discipline: protocol code receives node *indices* for engine
-// efficiency but must base decisions only on node-visible state: own ID,
-// public parameters (N, Gamma, SINR params, profile), the round counter and
-// previously received messages. The cluster algorithms keep per-node state
-// in arrays indexed by node and only ever read their own entry + messages.
+// The baselines drive Exec round by round; every schedule-based protocol
+// goes through ExecuteSchedule (sim/schedule.h).
+//
+// Knowledge discipline: protocol code receives node *indices* (and, from
+// ExecuteSchedule, participant *positions*) for simulator efficiency — both
+// are bookkeeping, not node knowledge. Decisions must rest only on
+// node-visible state: own ID, public parameters (N, Gamma, SINR params,
+// profile), the round counter and previously received messages. The
+// cluster algorithms keep per-node state in arrays indexed by node or
+// position and only ever read their own entry + messages.
 #pragma once
 
 #include <functional>
@@ -95,33 +100,6 @@ class Exec {
   std::vector<std::size_t> background_;
   Message background_msg_;
   std::span<const char> active_;  // empty = all nodes on
-};
-
-// --- Per-node protocol interface (used by baselines and examples). ---
-class NodeProtocol {
- public:
-  virtual ~NodeProtocol() = default;
-  // Transmit decision for global round r; nullopt = listen.
-  virtual std::optional<Message> OnRound(Round r) = 0;
-  virtual void OnHear(Round r, const Message& m) = 0;
-  // A protocol may declare itself finished; Runner stops when all are.
-  virtual bool Done() const { return false; }
-};
-
-class Runner {
- public:
-  explicit Runner(const sinr::Network& net,
-                  sinr::Engine::Options engine_options = {})
-      : exec_(net, engine_options) {}
-
-  // Runs protocols (one per node index, non-null) until all Done() or
-  // max_rounds elapse. Returns rounds executed.
-  Round Run(std::vector<NodeProtocol*> protocols, Round max_rounds);
-
-  Exec& exec() { return exec_; }
-
- private:
-  Exec exec_;
 };
 
 }  // namespace dcc::sim

@@ -75,15 +75,23 @@ struct Participant {
   ClusterId cluster = kNoCluster;
 };
 
-// Runs `sched` from its first to last round on `ex`.
-//  * `make_msg(index, local_round)` produces the message a scheduled
-//    participant sends (nullopt = stay silent even when scheduled).
-//  * `hear(listener_index, msg, local_round)` fires per reception at any
-//    listening node of the network.
+// Position handed to `hear` for a listener outside the participant set.
+inline constexpr std::size_t kNotParticipant = static_cast<std::size_t>(-1);
+
+// Runs `sched` from its first to last round on `ex`. Callbacks address
+// participants by their position p in `parts` (simulator bookkeeping, like
+// a node index — not node knowledge):
+//  * `make_msg(p, local_round)` produces the message scheduled participant
+//    p sends (nullopt = stay silent even when scheduled).
+//  * `hear(listener_index, p, msg, local_round)` fires per reception at any
+//    listening node of the network; p is the listener's position, or
+//    kNotParticipant when it is not in `parts`.
+// Participants transmit in the order of `parts`; indices must be distinct.
 void ExecuteSchedule(
     Exec& ex, const Schedule& sched, const std::vector<Participant>& parts,
     const std::function<std::optional<Message>(std::size_t, std::int64_t)>&
         make_msg,
-    const std::function<void(std::size_t, const Message&, std::int64_t)>& hear);
+    const std::function<void(std::size_t, std::size_t, const Message&,
+                             std::int64_t)>& hear);
 
 }  // namespace dcc::sim

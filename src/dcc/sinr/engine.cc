@@ -217,7 +217,8 @@ Engine::Engine(const Network& net, Options options)
       mode_ = Mode::kGrid;
       break;
     case Mode::kAuto:
-      mode_ = net.size() > options_.grid_threshold ? Mode::kGrid : Mode::kExact;
+      mode_ = net.size() > Network::kGainMatrixLimit ? Mode::kGrid
+                                                     : Mode::kExact;
       break;
   }
   DCC_REQUIRE(options_.threads >= 0, "Engine: threads must be >= 0");
@@ -866,31 +867,6 @@ void Engine::StepGrid(std::span<const std::size_t> transmitters,
     MergeShards(shards, out);
   }
   for (const std::size_t v : transmitters) P.is_tx[v] = 0;
-}
-
-double Engine::Sinr(std::size_t v, std::size_t u,
-                    const std::vector<std::size_t>& transmitters) const {
-  const Network& net = *net_;
-  double interference = 0.0;
-  bool v_transmits = false;
-  for (const std::size_t w : transmitters) {
-    if (w == v) {
-      v_transmits = true;
-      continue;
-    }
-    interference += net.Gain(w, u);
-  }
-  DCC_REQUIRE(v_transmits, "Sinr: v must be in the transmitter set");
-  return net.Gain(v, u) / (net.params().noise + interference);
-}
-
-double Engine::InterferenceAt(
-    std::size_t u, const std::vector<std::size_t>& transmitters) const {
-  double total = 0.0;
-  for (const std::size_t w : transmitters) {
-    if (w != u) total += net_->Gain(w, u);
-  }
-  return total;
 }
 
 }  // namespace dcc::sinr

@@ -71,7 +71,7 @@ struct Reception {
 class Engine {
  public:
   enum class Mode {
-    kAuto,   // kExact up to the dense-gain-matrix limit, kGrid beyond
+    kAuto,   // kExact up to Network::kGainMatrixLimit nodes, kGrid beyond
     kExact,  // brute-force oracle
     kGrid,   // spatial-index pruning + exact fallback
   };
@@ -89,8 +89,6 @@ class Engine {
     Mode mode = Mode::kAuto;
     // Grid tile side; 0 picks a density-based default (~64 nodes/tile).
     double cell = 0.0;
-    // kAuto switches to kGrid for networks larger than this.
-    std::size_t grid_threshold = Network::kGainMatrixLimit;
     // Spatial-index coverage area for dynamic networks: positions may move
     // anywhere inside this box without outgrowing the index. Defaults to
     // the bounding box of the construction-time positions (static runs).
@@ -159,14 +157,6 @@ class Engine {
   void StepInto(std::span<const std::size_t> transmitters,
                 std::span<const std::size_t> listeners,
                 std::vector<Reception>& out) const;
-
-  // SINR of transmitter `v` at listener `u` under transmitter set T.
-  double Sinr(std::size_t v, std::size_t u,
-              const std::vector<std::size_t>& transmitters) const;
-
-  // Total interference power at `u` from `transmitters` (no noise term).
-  double InterferenceAt(std::size_t u,
-                        const std::vector<std::size_t>& transmitters) const;
 
   const Network& net() const { return *net_; }
 

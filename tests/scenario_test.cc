@@ -85,7 +85,6 @@ TEST(ScenarioSpecTest, FullyCustomizedSpecRoundTrips) {
   spec.shadowing.seed = 99;
   spec.engine.mode = sinr::Engine::Mode::kGrid;
   spec.engine.cell = 2.5;
-  spec.engine.grid_threshold = 512;
   spec.max_rounds = 5000;
   spec.faults = 2;
   spec.threads = 3;
@@ -96,7 +95,6 @@ TEST(ScenarioSpecTest, FullyCustomizedSpecRoundTrips) {
   EXPECT_DOUBLE_EQ(parsed.sinr.beta, 2.0);
   EXPECT_DOUBLE_EQ(parsed.sinr.power, 2.0);  // power = noise * beta coupling
   EXPECT_EQ(parsed.engine.mode, sinr::Engine::Mode::kGrid);
-  EXPECT_EQ(parsed.engine.grid_threshold, 512u);
 }
 
 TEST(ScenarioSpecTest, RejectsUnknownOrMalformedFlags) {
@@ -108,7 +106,8 @@ TEST(ScenarioSpecTest, RejectsUnknownOrMalformedFlags) {
   // Removed knobs (engine tuning flags and the rank-per-process mode) fail
   // loudly instead of being silently ignored, whatever their value.
   for (const char* removed : {"pipeline=on", "prologue-cache=8",
-                              "farfield=flat", "ranks=0", "ranks=2"}) {
+                              "farfield=flat", "ranks=0", "ranks=2",
+                              "grid-threshold=512"}) {
     EXPECT_THROW(ScenarioSpec::FromArgs({std::string("--") + removed}),
                  InvalidArgument)
         << removed;

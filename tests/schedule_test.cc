@@ -47,7 +47,7 @@ TEST(ExecuteScheduleTest, RunsExactlySizeRounds) {
         Message m;
         return std::optional<Message>(m);
       },
-      [](std::size_t, const Message&, std::int64_t) {});
+      [](std::size_t, std::size_t, const Message&, std::int64_t) {});
   EXPECT_EQ(ex.rounds(), sched.size());
 }
 
@@ -63,12 +63,12 @@ TEST(ExecuteScheduleTest, OnlyScheduledParticipantsTransmit) {
   for (auto& s : sent) s.assign(static_cast<std::size_t>(sched.size()), 0);
   ExecuteSchedule(
       ex, sched, parts,
-      [&](std::size_t idx, std::int64_t t) {
-        sent[idx][static_cast<std::size_t>(t)] = 1;
+      [&](std::size_t p, std::int64_t t) {
+        sent[parts[p].index][static_cast<std::size_t>(t)] = 1;
         Message m;
         return std::optional<Message>(m);
       },
-      [](std::size_t, const Message&, std::int64_t) {});
+      [](std::size_t, std::size_t, const Message&, std::int64_t) {});
   for (std::size_t i = 0; i < net.size(); ++i) {
     for (std::int64_t t = 0; t < sched.size(); ++t) {
       EXPECT_EQ(static_cast<bool>(sent[i][static_cast<std::size_t>(t)]),
@@ -87,8 +87,40 @@ TEST(ExecuteScheduleTest, SilentOptOutRespected) {
   ExecuteSchedule(
       ex, sched, parts,
       [&](std::size_t, std::int64_t) { return std::optional<Message>(); },
-      [&](std::size_t, const Message&, std::int64_t) { ++heard; });
+      [&](std::size_t, std::size_t, const Message&, std::int64_t) {
+        ++heard;
+      });
   EXPECT_EQ(heard, 0);
+}
+
+TEST(ExecuteScheduleTest, HearReportsListenerPosition) {
+  // Only node 2 transmits (when scheduled); nodes 1 and 3 sit within reach.
+  // Participants are listed out of index order, so a position is not an
+  // index: node 1 is at position 1, node 3 is not a participant.
+  const auto net = LineNetwork(4, 0.5);
+  Exec ex(net);
+  SsfSchedule sched(sel::Ssf::Construct(64, 3));
+  std::vector<Participant> parts{{2, net.id(2), kNoCluster},
+                                 {1, net.id(1), kNoCluster}};
+  std::vector<std::size_t> pos_at(net.size(), 0);
+  std::vector<int> heard(net.size(), 0);
+  ExecuteSchedule(
+      ex, sched, parts,
+      [&](std::size_t p, std::int64_t) {
+        Message m;
+        m.src = parts[p].id;
+        return p == 0 ? std::optional<Message>(m) : std::nullopt;
+      },
+      [&](std::size_t listener, std::size_t p, const Message& m,
+          std::int64_t) {
+        EXPECT_EQ(m.src, net.id(2));
+        pos_at[listener] = p;
+        ++heard[listener];
+      });
+  ASSERT_GT(heard[1], 0);
+  ASSERT_GT(heard[3], 0);
+  EXPECT_EQ(pos_at[1], 1u);
+  EXPECT_EQ(pos_at[3], kNotParticipant);
 }
 
 TEST(ExecuteScheduleTest, DuplicateParticipantRejected) {
@@ -102,7 +134,7 @@ TEST(ExecuteScheduleTest, DuplicateParticipantRejected) {
                    [](std::size_t, std::int64_t) {
                      return std::optional<Message>();
                    },
-                   [](std::size_t, const Message&, std::int64_t) {}),
+                   [](std::size_t, std::size_t, const Message&, std::int64_t) {}),
                InvalidArgument);
 }
 

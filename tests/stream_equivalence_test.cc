@@ -19,8 +19,7 @@
 // Configurations cover mobility (per-round jitter), churn (index
 // erase/insert mid-schedule), shadowing (the non-pure propagation model,
 // which resolves fallbacks with the scalar kernel), and jammer fault
-// injection (fixed extra transmitters every round). The suite keeps its
-// historical DistribEquivalence name so test ids stay stable.
+// injection (fixed extra transmitters every round).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -194,10 +193,10 @@ void RunConfig(const Config& cfg) {
   }
 }
 
-TEST(DistribEquivalence, Static) { RunConfig(Configs()[0]); }
-TEST(DistribEquivalence, Shadowing) { RunConfig(Configs()[1]); }
-TEST(DistribEquivalence, Jammers) { RunConfig(Configs()[2]); }
-TEST(DistribEquivalence, MobilityChurn) { RunConfig(Configs()[3]); }
+TEST(StreamEquivalence, Static) { RunConfig(Configs()[0]); }
+TEST(StreamEquivalence, Shadowing) { RunConfig(Configs()[1]); }
+TEST(StreamEquivalence, Jammers) { RunConfig(Configs()[2]); }
+TEST(StreamEquivalence, MobilityChurn) { RunConfig(Configs()[3]); }
 
 }  // namespace
 }  // namespace dcc

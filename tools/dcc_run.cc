@@ -44,9 +44,9 @@ void PrintUsage(std::ostream& os) {
         "  --alpha= --beta= --eps= --noise= --power=   SINR model\n"
         "  --id-space=N               ID space upper bound (65536)\n"
         "  --shadowing=SPREAD[:SEED]  deterministic per-link shadowing (off)\n"
-        "  --engine=exact|grid|auto   interference resolution (auto)\n"
+        "  --engine=exact|grid|auto   interference resolution (auto: exact\n"
+        "                             up to 2048 nodes, grid beyond)\n"
         "  --cell=D                   grid tile side (engine heuristic)\n"
-        "  --grid-threshold=N         auto mode's exact->grid cutover (2048)\n"
         "  --rounds=R                 round budget where applicable\n"
         "  --faults=K                 K always-on background jammers (0)\n"
         "  --threads=T                sweep workers AND engine round shards\n"
