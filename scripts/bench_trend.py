@@ -26,11 +26,13 @@ host with `append`).
 
 Tracked schemas and their identity/value fields:
 
-  dcc.bench.parallel_rounds.v1   keyed on (n, regime, threads,
-                                 min_shard, farfield), value ms_per_round;
-                                 legacy points of removed engine knobs
-                                 (pipeline on, prologue cache > 0) are
-                                 skipped
+  dcc.bench.parallel_rounds.v1   keyed on (n, regime, threads, farfield),
+                                 value ms_per_round; legacy points of
+                                 removed engine knobs (pipeline on,
+                                 prologue cache > 0) are skipped, and the
+                                 min_shard field older points carry (the
+                                 removed listener grain, one value per
+                                 entry) is not part of the key
   dcc.bench.service_load.v1      keyed on (workload, phase, connections),
                                  value ms_per_request
   dcc.bench.obs_overhead.v1      keyed on (n, trace), value ms_per_round;
@@ -60,7 +62,7 @@ from pathlib import Path
 
 SCHEMAS = {
     "dcc.bench.parallel_rounds.v1": {
-        "key_fields": ("n", "regime", "threads", "min_shard", "farfield"),
+        "key_fields": ("n", "regime", "threads", "farfield"),
         "value_field": "ms_per_round",
         # The acceptance-relevant configs a trend entry records; everything
         # else in the bench output is transient diagnostics. sparse_wide
@@ -155,8 +157,8 @@ def fmt_host(host):
 def fmt_key(key):
     schema = key[0]
     if schema == "dcc.bench.parallel_rounds.v1":
-        n, regime, threads, min_shard, farfield = key[1:]
-        return f"n={n} {regime} t={threads} grain={min_shard} ff={farfield}"
+        n, regime, threads, farfield = key[1:]
+        return f"n={n} {regime} t={threads} ff={farfield}"
     if schema == "dcc.bench.service_load.v1":
         workload, phase, connections = key[1:]
         return f"service {workload} {phase} c={connections}"

@@ -46,8 +46,8 @@ struct RunReport {
     int threads = 0;  // resolved shard count (Engine::threads())
     std::int64_t rounds_parallel = 0;  // rounds dispatched across shards
     // Rounds a parallel engine ran inline because dispatching could not
-    // win: under the listener grain, an indivisible tile plan, or the
-    // engine nested inside a pool-occupying sweep.
+    // win: fewer (transmitter, listener) pairs than the engine's dispatch
+    // rule asks for, or an indivisible tile plan.
     std::int64_t rounds_serial = 0;
     // Cumulative listeners resolved by each shard index, and the load
     // skew max/mean (1 = perfectly balanced; 0 when no round dispatched).

@@ -39,6 +39,14 @@ constexpr double kThresholdRecheck = 1e-12;
 // transmitter) and each transmitter load is amortized across the chunk.
 constexpr std::size_t kChunk = 8;
 
+// A round is sharded only when it has at least this many (transmitter,
+// listener) pairs: resolution costs O(|T|·|L|) in exact mode and roughly
+// tracks it in grid mode, while the dispatch (pool wake-up, join, merge)
+// is a fixed cost. Timed StepInto on random rounds at 1, 2 and 4 threads
+// puts break-even near 2^14..2^15 pairs in both modes; the paper's sparse
+// schedule rounds (mean |T| ~2) stay serial, dense rounds dispatch.
+constexpr std::size_t kMinShardPairs = std::size_t{1} << 15;
+
 // target_clones emits an ifunc whose resolver runs during relocation,
 // before sanitizer runtimes initialize — under ThreadSanitizer that is a
 // load-time crash, so sanitized builds take the plain (still vectorizable)
@@ -186,19 +194,10 @@ Engine::Options Engine::Options::FromEnv() {
     }
     opts.threads = static_cast<int>(v);
   }
-  if (const char* grain = std::getenv("DCC_ENGINE_MIN_SHARD");
-      grain && *grain != '\0') {
-    const std::int64_t v = ParseInt64(grain, "DCC_ENGINE_MIN_SHARD");
-    if (v < 1 || v > 1048576) {
-      throw InvalidArgument("DCC_ENGINE_MIN_SHARD: listener grain '" +
-                            std::string(grain) +
-                            "' must be in [1, 1048576]");
-    }
-    opts.min_listeners_per_shard = static_cast<std::size_t>(v);
-  }
   // Removed knobs: a stale setting must fail, not be silently ignored.
-  for (const char* removed :
-       {"DCC_ENGINE_FARFIELD", "DCC_ENGINE_PROLOGUE_CACHE"}) {
+  for (const char* removed : {"DCC_ENGINE_FARFIELD",
+                              "DCC_ENGINE_PROLOGUE_CACHE",
+                              "DCC_ENGINE_MIN_SHARD"}) {
     if (const char* v = std::getenv(removed); v && *v != '\0') {
       throw InvalidArgument(std::string(removed) +
                             ": no longer supported (unset it)");
@@ -222,8 +221,6 @@ Engine::Engine(const Network& net, Options options)
       break;
   }
   DCC_REQUIRE(options_.threads >= 0, "Engine: threads must be >= 0");
-  DCC_REQUIRE(options_.min_listeners_per_shard >= 1,
-              "Engine: min_listeners_per_shard must be >= 1");
   parallel::WorkerPool& pool =
       options_.pool ? *options_.pool : parallel::WorkerPool::Shared();
   threads_ = options_.threads == 0 ? pool.parallelism() : options_.threads;
@@ -250,6 +247,10 @@ Engine::Engine(const Network& net, Options options)
     pyramid_.Reset(*grid_);
   }
   EnsureScratch(1);
+}
+
+int Engine::RoundShards(std::size_t n_tx, std::size_t n_listen) const {
+  return threads_ > 1 && n_tx * n_listen >= kMinShardPairs ? threads_ : 1;
 }
 
 void Engine::EnsureScratch(int shards) const {
@@ -343,17 +344,9 @@ void Engine::BuildPrologue(RoundPrologue& P, std::span<const std::size_t> tx,
   }
 
   // Dispatch decision + shard decomposition. Stats are not touched here;
-  // the caller folds P.small_round into the counters.
+  // StepGrid counts the round by the final P.shards.
   const std::size_t n_listen = listeners.size();
-  P.shards = 1;
-  P.small_round = false;
-  if (threads_ > 1 && pool_ != nullptr &&
-      n_listen >= options_.min_listeners_per_shard *
-                      static_cast<std::size_t>(threads_)) {
-    P.shards = threads_;
-  } else if (threads_ > 1) {
-    P.small_round = true;
-  }
+  P.shards = RoundShards(tx.size(), n_listen);
   if (P.shards > 1) {
     // Plan contiguous tile shards balanced by this round's listener
     // histogram, then bucket listener ordinals by shard (stable, so each
@@ -387,7 +380,6 @@ void Engine::BuildPrologue(RoundPrologue& P, std::span<const std::size_t> tx,
     }
     if (populated < 2) {
       P.shards = 1;
-      P.small_round = true;
     } else {
       P.shard_ordinals.resize(n_listen);
       P.shard_ord_fill.assign(P.shard_ord_start.begin(),
@@ -513,12 +505,7 @@ void Engine::StepExact(std::span<const std::size_t> transmitters,
                        std::span<const std::size_t> listeners,
                        std::vector<Reception>& out) const {
   const std::size_t n_listen = listeners.size();
-  const int shards =
-      threads_ > 1 && pool_ != nullptr &&
-              n_listen >= options_.min_listeners_per_shard *
-                              static_cast<std::size_t>(threads_)
-          ? threads_
-          : 1;
+  const int shards = RoundShards(transmitters.size(), n_listen);
   if (shards <= 1) {
     if (threads_ > 1) ++stats_.parallel_small_rounds;
     for (const std::size_t u : listeners) {
@@ -529,32 +516,20 @@ void Engine::StepExact(std::span<const std::size_t> transmitters,
 
   // Contiguous listener ranges (no spatial structure to decompose in exact
   // mode); shard k resolves ordinals [n*k/K, n*(k+1)/K).
-  EnsureScratch(shards);
-  ++stats_.parallel_rounds;
-  if (static_cast<int>(stats_.shard_listeners.size()) < shards) {
-    stats_.shard_listeners.resize(static_cast<std::size_t>(shards), 0);
+  exact_offsets_.resize(static_cast<std::size_t>(shards) + 1);
+  for (std::size_t k = 0; k < exact_offsets_.size(); ++k) {
+    exact_offsets_[k] = static_cast<std::uint32_t>(
+        n_listen * k / static_cast<std::size_t>(shards));
   }
-  pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
-    RoundScratch& s = scratch_[k];
-    s.pending.clear();
-    const std::size_t lo = n_listen * k / static_cast<std::size_t>(shards);
-    const std::size_t hi =
-        n_listen * (k + 1) / static_cast<std::size_t>(shards);
-    for (std::size_t ord = lo; ord < hi; ++ord) {
-      if (auto r = ResolveExact(listeners[ord], transmitters)) {
-        s.pending.emplace_back(static_cast<std::uint32_t>(ord), *r);
-      }
-    }
-  });
-  for (int k = 0; k < shards; ++k) {
-    const std::size_t lo =
-        n_listen * static_cast<std::size_t>(k) / static_cast<std::size_t>(shards);
-    const std::size_t hi = n_listen * static_cast<std::size_t>(k + 1) /
-                           static_cast<std::size_t>(shards);
-    stats_.shard_listeners[static_cast<std::size_t>(k)] +=
-        static_cast<std::int64_t>(hi - lo);
-  }
-  MergeShards(shards, out);
+  FanOut(exact_offsets_, out,
+         [&](std::uint32_t lo, std::uint32_t hi, RoundScratch& s) {
+           s.pending.clear();
+           for (std::uint32_t ord = lo; ord < hi; ++ord) {
+             if (auto r = ResolveExact(listeners[ord], transmitters)) {
+               s.pending.emplace_back(ord, *r);
+             }
+           }
+         });
 }
 
 void Engine::ResolveFallbacksBlocked(
@@ -806,6 +781,25 @@ void Engine::StepGridRange(const RoundPrologue& P,
             [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
+void Engine::FanOut(std::span<const std::uint32_t> offsets,
+                    std::vector<Reception>& out,
+                    const ShardBody& body) const {
+  const int shards = static_cast<int>(offsets.size()) - 1;
+  EnsureScratch(shards);
+  ++stats_.parallel_rounds;
+  if (static_cast<int>(stats_.shard_listeners.size()) < shards) {
+    stats_.shard_listeners.resize(static_cast<std::size_t>(shards), 0);
+  }
+  pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
+    body(offsets[k], offsets[k + 1], scratch_[k]);
+  });
+  for (std::size_t k = 0; k < static_cast<std::size_t>(shards); ++k) {
+    stats_.shard_listeners[k] +=
+        static_cast<std::int64_t>(offsets[k + 1] - offsets[k]);
+  }
+  MergeShards(shards, out);
+}
+
 void Engine::MergeShards(int shards, std::vector<Reception>& out) const {
   DCC_TRACE_SPAN("engine.merge");
   // Shard-ordered concatenation; ordinals are globally unique, so one sort
@@ -832,10 +826,9 @@ void Engine::StepGrid(std::span<const std::size_t> transmitters,
   RoundPrologue& P = prologue_;
   BuildPrologue(P, transmitters, listeners);
   stats_.tile_states_computed += static_cast<std::int64_t>(P.lt_tiles.size());
-  if (P.small_round) ++stats_.parallel_small_rounds;
 
-  const int shards = P.shards;
-  if (shards <= 1) {
+  if (P.shards <= 1) {
+    if (threads_ > 1) ++stats_.parallel_small_rounds;
     RoundScratch& s = scratch_[0];
     StepGridRange(P, transmitters, listeners, /*all_listeners=*/true, {}, s);
     stats_.grid_pruned += s.pruned;
@@ -846,25 +839,16 @@ void Engine::StepGrid(std::span<const std::size_t> transmitters,
       out.push_back(rec);
     }
   } else {
-    EnsureScratch(shards);
-    ++stats_.parallel_rounds;
-    if (static_cast<int>(stats_.shard_listeners.size()) < shards) {
-      stats_.shard_listeners.resize(static_cast<std::size_t>(shards), 0);
-    }
-    pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
-      const std::span<const std::uint32_t> ordinals(
-          P.shard_ordinals.data() + P.shard_ord_start[k],
-          P.shard_ord_start[k + 1] - P.shard_ord_start[k]);
-      StepGridRange(P, transmitters, listeners, /*all_listeners=*/false,
-                    ordinals, scratch_[k]);
-    });
-    for (int k = 0; k < shards; ++k) {
-      stats_.shard_listeners[static_cast<std::size_t>(k)] +=
-          static_cast<std::int64_t>(
-              P.shard_ord_start[static_cast<std::size_t>(k) + 1] -
-              P.shard_ord_start[static_cast<std::size_t>(k)]);
-    }
-    MergeShards(shards, out);
+    // Contiguous tile ranges; shard k resolves the ordinals bucketed to it,
+    // P.shard_ordinals[shard_ord_start[k], shard_ord_start[k+1]).
+    FanOut(P.shard_ord_start, out,
+           [&](std::uint32_t lo, std::uint32_t hi, RoundScratch& s) {
+             StepGridRange(P, transmitters, listeners,
+                           /*all_listeners=*/false,
+                           std::span<const std::uint32_t>(
+                               P.shard_ordinals.data() + lo, hi - lo),
+                           s);
+           });
   }
   for (const std::size_t v : transmitters) P.is_tx[v] = 0;
 }

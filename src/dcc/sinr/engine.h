@@ -36,15 +36,20 @@
 // pure function of (listener, transmitter index), every worker owns its
 // whole scratch, and the merge emits receptions in listener order — so the
 // reception set AND every SINR bit are identical to serial execution at
-// every thread count. Rounds below min_listeners_per_shard * K listeners
-// run serially (the dispatch would cost more than the round). Nested
-// engines (inside a sweep job) dispatch too: their fan-outs join the
-// pool's list of open fan-outs, where idle workers pick them up, so the
-// tail of a sweep donates its freed threads to the runs still going.
+// every thread count. One rule decides whether a round shards, in both
+// modes: it does iff K > 1 and the round has at least kMinShardPairs
+// (transmitter, listener) pairs, |T|·|L| — a private constant in
+// engine.cc. Smaller rounds run serially (the dispatch would cost more
+// than the round), as does a grid round whose tile plan leaves fewer than
+// 2 shards populated. Nested engines (inside a sweep job) dispatch too:
+// their fan-outs join the pool's list of open fan-outs, where idle workers
+// pick them up, so the tail of a sweep donates its freed threads to the
+// runs still going.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
@@ -76,15 +81,6 @@ class Engine {
     kGrid,   // spatial-index pruning + exact fallback
   };
 
-  // Default listener grain: below this many listeners per shard a round is
-  // not worth dispatching (see Options::min_listeners_per_shard).
-  // Re-measured with `bench_parallel_rounds --sweep_grain` (see the
-  // ROADMAP's parallel-execution note): per-shard dispatch costs roughly
-  // the resolution of a handful of listeners, so grains below ~8 pay pool
-  // overhead for rounds too small to amortize it, while larger grains
-  // start serializing mid-sized rounds.
-  static constexpr std::size_t kMinListenersPerShard = 8;
-
   struct Options {
     Mode mode = Mode::kAuto;
     // Grid tile side; 0 picks a density-based default (~64 nodes/tile).
@@ -99,14 +95,10 @@ class Engine {
     // shards executed on the shared parallel::WorkerPool. 1 = serial
     // (default), 0 = one shard per hardware thread, K > 1 = exactly K
     // shards regardless of the host (receptions are bit-identical to
-    // serial at every setting, so K only affects speed).
+    // serial at every setting, so K only affects speed). Rounds under the
+    // engine's pair rule (see the header comment) run serially anyway,
+    // counted in Stats::parallel_small_rounds.
     int threads = 1;
-    // Dispatch grain: a round with fewer than min_listeners_per_shard * K
-    // listeners runs serially even when threads > 1 (counted in
-    // Stats::parallel_small_rounds). Must be >= 1; raising it trades
-    // parallel coverage of small rounds for less dispatch overhead —
-    // bench_parallel_rounds --sweep_grain measures the trade.
-    std::size_t min_listeners_per_shard = kMinListenersPerShard;
     // Grid mode descends the far-field tile pyramid (sinr/farfield.h) only
     // for rounds whose transmitters occupy at least this many tiles; below
     // it the flat occupied-tile walk is already trivially cheap and the
@@ -128,11 +120,11 @@ class Engine {
     //   DCC_ENGINE_MODE           = exact | grid | auto (default auto)
     //   DCC_ENGINE_CELL           = <tile side>     (default: engine heuristic)
     //   DCC_ENGINE_THREADS        = <shard count, 0=hw> (default: 1, serial)
-    //   DCC_ENGINE_MIN_SHARD      = <listener grain> (default: 8)
     // Throws InvalidArgument on any unrecognized or malformed value — a
     // typo must not silently fall back to the default strategy — and when
-    // a removed knob (DCC_ENGINE_FARFIELD, DCC_ENGINE_PROLOGUE_CACHE) is
-    // set, so a stale environment is never silently ignored.
+    // a removed knob (DCC_ENGINE_FARFIELD, DCC_ENGINE_PROLOGUE_CACHE,
+    // DCC_ENGINE_MIN_SHARD) is set, so a stale environment is never
+    // silently ignored.
     static Options FromEnv();
   };
 
@@ -201,10 +193,10 @@ class Engine {
     std::int64_t grid_exact_fallbacks = 0;
     // Parallel engines only (threads() > 1): rounds dispatched across
     // shards vs rounds run serially because dispatching could not win
-    // (under the listener grain, or a tile plan with < 2 populated
-    // shards), and the cumulative listeners resolved by each shard index —
-    // the per-shard load profile the dcc.parallel.v1 report section
-    // exposes.
+    // (fewer than kMinShardPairs |T|·|L| pairs, or a tile plan with < 2
+    // populated shards), and the cumulative listeners resolved by each
+    // shard index — the per-shard load profile the dcc.parallel.v1 report
+    // section exposes.
     std::int64_t parallel_rounds = 0;
     std::int64_t parallel_small_rounds = 0;
     std::vector<std::int64_t> shard_listeners;
@@ -259,7 +251,6 @@ class Engine {
 
     // Shard decomposition (only filled when shards > 1).
     int shards = 1;
-    bool small_round = false;  // threads > 1 but dispatch cannot win
     parallel::ShardPlan plan;
     std::vector<std::uint32_t> shard_weights;    // listeners per tile
     std::vector<std::uint32_t> listener_shard;   // shard per listener
@@ -296,6 +287,9 @@ class Engine {
   // near-threshold recheck; returns the reception if SINR clears beta.
   std::optional<Reception> ResolveExact(
       std::size_t u, std::span<const std::size_t> transmitters) const;
+  // The dispatch rule both modes share: threads_ shards when the round has
+  // at least kMinShardPairs (transmitter, listener) pairs, else 1.
+  int RoundShards(std::size_t n_tx, std::size_t n_listen) const;
   // Builds P from (tx, listeners): buckets the transmitters into tiles
   // (CSR, occupied tiles ascending), decides the dispatch, and — when
   // dispatching — plans contiguous tile shards balanced by this round's
@@ -333,6 +327,17 @@ class Engine {
                                RoundScratch& s) const;
   // Grows scratch_ to `shards` entries.
   void EnsureScratch(int shards) const;
+  // One shard's work: resolve the listener ordinals [lo, hi) of the shard's
+  // ordinal range into s.pending, ordinal-sorted.
+  using ShardBody =
+      std::function<void(std::uint32_t lo, std::uint32_t hi, RoundScratch& s)>;
+  // The fan-out both modes share: runs K = offsets.size() - 1 shards on the
+  // pool, shard k calling body(offsets[k], offsets[k+1], scratch_[k]), then
+  // merges into `out` and counts the round in stats_ (parallel_rounds,
+  // shard_listeners). Exact mode's offsets are n·k/K over the listener
+  // span; grid mode's are the prologue's shard_ord_start.
+  void FanOut(std::span<const std::uint32_t> offsets,
+              std::vector<Reception>& out, const ShardBody& body) const;
   // Concatenates every shard's pending receptions, restores global
   // listener order, and appends to `out` (allocation-free at steady
   // state). Folds the shards' counter deltas into stats_.
@@ -365,6 +370,8 @@ class Engine {
   // Per-worker round state; [0] doubles as the serial scratch.
   mutable std::vector<RoundScratch> scratch_;
   mutable std::vector<std::pair<std::uint32_t, Reception>> merge_;
+  // Exact mode's shard offsets (grid mode's live in the prologue).
+  mutable std::vector<std::uint32_t> exact_offsets_;
 };
 
 }  // namespace dcc::sinr

@@ -1,7 +1,7 @@
 // Engine::Options::FromEnv — strict parsing of DCC_ENGINE_MODE /
-// DCC_ENGINE_CELL / DCC_ENGINE_THREADS / DCC_ENGINE_MIN_SHARD. Typos must
-// reject, not silently fall back, and the removed DCC_ENGINE_FARFIELD /
-// DCC_ENGINE_PROLOGUE_CACHE knobs must reject rather than be ignored.
+// DCC_ENGINE_CELL / DCC_ENGINE_THREADS. Typos must reject, not silently
+// fall back, and the removed DCC_ENGINE_FARFIELD / DCC_ENGINE_PROLOGUE_CACHE
+// / DCC_ENGINE_MIN_SHARD knobs must reject rather than be ignored.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -72,24 +72,6 @@ TEST_F(EngineEnvTest, RejectsMalformedThreads) {
   EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
 }
 
-TEST_F(EngineEnvTest, ParsesMinShard) {
-  setenv("DCC_ENGINE_MIN_SHARD", "64", 1);
-  EXPECT_EQ(Engine::Options::FromEnv().min_listeners_per_shard, 64);
-  setenv("DCC_ENGINE_MIN_SHARD", "1", 1);
-  EXPECT_EQ(Engine::Options::FromEnv().min_listeners_per_shard, 1);
-}
-
-TEST_F(EngineEnvTest, RejectsMalformedMinShard) {
-  setenv("DCC_ENGINE_MIN_SHARD", "lots", 1);
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-  setenv("DCC_ENGINE_MIN_SHARD", "0", 1);  // grain of 0 would always shard
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-  setenv("DCC_ENGINE_MIN_SHARD", "-8", 1);
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-  setenv("DCC_ENGINE_MIN_SHARD", "2000000", 1);  // above the sanity cap
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-}
-
 TEST_F(EngineEnvTest, RejectsRemovedFarfield) {
   // Pyramid vs flat walk is chosen per round by occupied-tile count; a
   // stale setting of the old knob must fail, whatever its value.
@@ -106,6 +88,13 @@ TEST_F(EngineEnvTest, RejectsRemovedPrologueCache) {
   EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
 }
 
+TEST_F(EngineEnvTest, RejectsRemovedMinShard) {
+  // Whether a round shards is the engine's own |T|·|L| rule now; a stale
+  // listener grain must fail rather than look honored.
+  setenv("DCC_ENGINE_MIN_SHARD", "8", 1);
+  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
+}
+
 TEST_F(EngineEnvTest, EmptyValuesMeanUnset) {
   setenv("DCC_ENGINE_MODE", "", 1);
   setenv("DCC_ENGINE_CELL", "", 1);
@@ -117,7 +106,6 @@ TEST_F(EngineEnvTest, EmptyValuesMeanUnset) {
   EXPECT_EQ(opts.mode, Engine::Mode::kAuto);
   EXPECT_EQ(opts.cell, 0.0);
   EXPECT_EQ(opts.threads, 1);
-  EXPECT_EQ(opts.min_listeners_per_shard, Engine::kMinListenersPerShard);
 }
 
 }  // namespace

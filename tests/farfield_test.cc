@@ -256,8 +256,10 @@ TEST(FarFieldEngineTest, PyramidBitIdenticalToFlatAcrossThreads) {
 }
 
 TEST(FarFieldEngineTest, MobilityChurnStaysIdentical) {
-  const int n = 500;
-  const double side = 11.0;
+  // n = 700 keeps every epoch's round dense enough (|T|·|L| pairs) for the
+  // 4-thread engine to shard it.
+  const int n = 700;
+  const double side = 13.0;
   Network net = MakeUniformNet(n, side, 0.0, 909);
   Engine::Options flat{.mode = Engine::Mode::kGrid};
   flat.coverage = Box{{0.0, 0.0}, {side, side}};

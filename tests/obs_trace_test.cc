@@ -123,7 +123,7 @@ void RunBitIdentityConfig(int threads) {
   SCOPED_TRACE(label);
   const std::uint64_t seed = 23;
   const ScenarioSpec spec =
-      ScenarioSpec::FromArgs({"--topology=uniform:n=400,side=12"});
+      ScenarioSpec::FromArgs({"--topology=uniform:n=600,side=15"});
   const sinr::Network net = scenario::BuildScenarioNetwork(spec, seed);
 
   Tracer::Global().Disable();

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -154,6 +155,12 @@ TEST(WorkerPoolTest, ConcurrentTopLevelRunsFromForeignThreads) {
 
 // --- Engine: parallel == serial, bit for bit --------------------------------
 
+// The engine's dispatch rule (engine.cc): a round shards iff threads > 1 and
+// it has at least this many (transmitter, listener) pairs. Mirrored here to
+// size the fixtures below so their rounds clear it; the boundary tests pin
+// the value, so the two cannot drift apart silently.
+constexpr std::size_t kMinShardPairs = std::size_t{1} << 15;
+
 void SplitTxListeners(std::size_t n, int period, std::vector<std::size_t>& tx,
                       std::vector<std::size_t>& listeners) {
   tx.clear();
@@ -229,7 +236,8 @@ TEST(ParallelEngineTest, GridBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelEngineTest, ExactBitIdenticalAcrossThreadCounts) {
-  const Network net = MakeUniformNet(400, 10.0, 0.0, 99);
+  // n = 600: period 7 is 86 x 514 ~ 44k pairs, over kMinShardPairs.
+  const Network net = MakeUniformNet(600, 12.0, 0.0, 99);
   ExpectParallelMatchesSerial(net, {.mode = Engine::Mode::kExact},
                               {1, 2, 3, 5, 7, 8, 16}, "exact");
 }
@@ -238,7 +246,7 @@ TEST(ParallelEngineTest, ShadowingModelTakesTheVirtualPathIdentically) {
   // Shadowing defeats the devirtualized kernel: grid mode resolves through
   // the virtual per-listener fallback, whose parallel form must also be
   // bit-identical.
-  const Network net = MakeUniformNet(500, 11.0, 0.4, 7);
+  const Network net = MakeUniformNet(600, 12.0, 0.4, 7);
   ExpectParallelMatchesSerial(net, {.mode = Engine::Mode::kGrid},
                               {2, 3, 8}, "grid+shadowing");
 }
@@ -246,7 +254,7 @@ TEST(ParallelEngineTest, ShadowingModelTakesTheVirtualPathIdentically) {
 TEST(ParallelEngineTest, OddShardCountsOnFewTiles) {
   // A huge tile side leaves very few tiles — shard counts above the tile
   // count must produce empty shards, not wrong answers.
-  const Network net = MakeUniformNet(300, 8.0, 0.0, 31);
+  const Network net = MakeUniformNet(600, 8.0, 0.0, 31);
   ExpectParallelMatchesSerial(net, {.mode = Engine::Mode::kGrid, .cell = 4.0},
                               {3, 5, 7, 16}, "few-tiles");
 }
@@ -268,7 +276,7 @@ TEST(ParallelEngineTest, TileBoundaryStress) {
       ids.push_back(next_id++);
     }
   }
-  for (int i = 0; i < 264; ++i) {  // random mix: on-line and interior
+  for (int i = 0; i < 564; ++i) {  // random mix: on-line and interior
     const double x = rng.NextBelow(2) == 0
                          ? kCell * static_cast<double>(rng.NextBelow(6))
                          : kSide * rng.NextDouble();
@@ -286,8 +294,10 @@ TEST(ParallelEngineTest, TileBoundaryStress) {
 }
 
 TEST(ParallelEngineTest, MovingChurningNetworkStaysIdentical) {
-  const int n = 500;
-  const double side = 11.0;
+  // n = 700 keeps every epoch's round over kMinShardPairs once churn has
+  // taken its share of the nodes out.
+  const int n = 700;
+  const double side = 13.0;
   Network net = MakeUniformNet(n, side, 0.0, 555);
   Engine::Options base{.mode = Engine::Mode::kGrid};
   base.coverage = Box{{0.0, 0.0}, {side, side}};
@@ -343,26 +353,46 @@ TEST(ParallelEngineTest, MovingChurningNetworkStaysIdentical) {
   EXPECT_GT(par.stats().parallel_rounds, 0);
 }
 
-TEST(ParallelEngineTest, SmallRoundsFallBackToSerialExecution) {
-  const Network net = MakeUniformNet(64, 4.0, 0.0, 3);
-  Engine::Options opts{.mode = Engine::Mode::kGrid};
-  opts.threads = 8;
+// One pair under the rule, a round runs serially (parallel_small_rounds);
+// at the rule, it shards (parallel_rounds); both match serial bit for bit.
+void ExpectPairRuleBoundary(Engine::Mode mode) {
+  static_assert(151 * 217 == kMinShardPairs - 1);
+  static_assert(128 * 256 == kMinShardPairs);
+  const Network net = MakeUniformNet(400, 10.0, 0.0, 3);
+  const Engine serial(net, {.mode = mode});
+  Engine::Options opts{.mode = mode};
+  opts.threads = 4;
   const Engine par(net, opts);
-  const std::vector<std::size_t> tx = {0, 1, 2};
-  // 4 listeners < kMinListenersPerShard * 8: not worth a dispatch.
-  const std::vector<std::size_t> listeners = {10, 11, 12, 13};
-  const Engine serial(net, {.mode = Engine::Mode::kGrid});
-  ExpectBitIdentical(serial.Step(tx, listeners), par.Step(tx, listeners),
-                     "small round");
+  const auto step = [&](std::size_t n_tx, std::size_t n_listen) {
+    std::vector<std::size_t> tx(n_tx), listeners(n_listen);
+    std::iota(tx.begin(), tx.end(), std::size_t{0});
+    std::iota(listeners.begin(), listeners.end(), n_tx);
+    ExpectBitIdentical(serial.Step(tx, listeners), par.Step(tx, listeners),
+                       std::to_string(n_tx) + " x " + std::to_string(n_listen));
+  };
+  step(151, 217);
   EXPECT_EQ(par.stats().parallel_rounds, 0);
   EXPECT_EQ(par.stats().parallel_small_rounds, 1);
+  step(128, 256);
+  EXPECT_EQ(par.stats().parallel_rounds, 1);
+  EXPECT_EQ(par.stats().parallel_small_rounds, 1);
+}
+
+TEST(ParallelEngineTest, ExactRoundShardsFromThePairThreshold) {
+  ExpectPairRuleBoundary(Engine::Mode::kExact);
+}
+
+TEST(ParallelEngineTest, GridRoundShardsFromThePairThreshold) {
+  ExpectPairRuleBoundary(Engine::Mode::kGrid);
 }
 
 TEST(ParallelEngineTest, SingleTileGridRunsSeriallyInsteadOfIdleShards) {
   // cell >= side leaves one tile: the domain cannot be decomposed, so the
   // round must skip the dispatch (idle workers would be pure overhead)
-  // and still produce serial results.
-  const Network net = MakeUniformNet(128, 4.0, 0.0, 21);
+  // and still produce serial results. n = 512 at period 4 is 128 x 384
+  // pairs, over kMinShardPairs: the one-tile plan, not the pair rule, is
+  // what keeps this round serial.
+  const Network net = MakeUniformNet(512, 4.0, 0.0, 21);
   Engine::Options opts{.mode = Engine::Mode::kGrid, .cell = 8.0};
   opts.threads = 4;
   const Engine par(net, opts);
@@ -489,11 +519,18 @@ TEST(ParallelEngineTest, SweepTailDonatesIdleWorkersToNestedEngines) {
 
 // --- Scenario plumbing ------------------------------------------------------
 
-TEST(ParallelScenarioTest, ParallelRunReportsSectionAndIdenticalMetrics) {
+// One Sparse Network Schedule on uniform n=768: all 710 of its rounds are
+// dense enough (|T|·|L| over kMinShardPairs) to shard.
+scenario::ScenarioSpec DenseRoundSpec() {
   scenario::ScenarioSpec spec;
-  spec.topology_params.Set("n", "40");
-  spec.topology_params.Set("side", "3.5");
-  spec.sinr.id_space = 4096;
+  spec.algo = "sns";
+  spec.topology_params.Set("n", "768");
+  spec.topology_params.Set("side", "24");
+  return spec;
+}
+
+TEST(ParallelScenarioTest, ParallelRunReportsSectionAndIdenticalMetrics) {
+  scenario::ScenarioSpec spec = DenseRoundSpec();
 
   const scenario::RunReport serial = RunScenario(spec, 1);
   ASSERT_TRUE(serial.ok) << serial.error;
@@ -519,10 +556,7 @@ TEST(ParallelScenarioTest, SweepOccupyingThePoolStillShardsItsEngines) {
   // engine: its nested fan-outs join the pool's list, where idle tail-end
   // workers pick them up, and every metric stays identical to the serial
   // sweep.
-  scenario::ScenarioSpec spec;
-  spec.topology_params.Set("n", "32");
-  spec.topology_params.Set("side", "3");
-  spec.sinr.id_space = 4096;
+  scenario::ScenarioSpec spec = DenseRoundSpec();
   spec.seeds = {1, 2};
   const std::vector<scenario::RunReport> serial = RunSweep(spec);
 

@@ -34,6 +34,13 @@ std::string SpecLine(int threads) {
          std::to_string(threads);
 }
 
+// Rounds dense enough (|T|·|L| pairs) for a multi-thread engine to shard
+// every one of them, so the ladder below really crosses the fan-out.
+std::string ShardedSpecLine(int threads) {
+  return "--topology=uniform:n=768,side=24 --algo=sns --threads=" +
+         std::to_string(threads);
+}
+
 TEST(ServiceConcurrencyTest, ByteIdentityAtEveryThreadCount) {
   for (const int threads : {1, 2, 4}) {
     const std::string tag = "ladder" + std::to_string(threads);
@@ -46,7 +53,7 @@ TEST(ServiceConcurrencyTest, ByteIdentityAtEveryThreadCount) {
 
       LoadSpec load;
       load.socket_path = opts.socket_path;
-      load.spec_lines = {SpecLine(threads)};
+      load.spec_lines = {ShardedSpecLine(threads)};
       load.seeds = {1, 2};
       load.connections = 6;
       load.requests = 60;
@@ -58,7 +65,7 @@ TEST(ServiceConcurrencyTest, ByteIdentityAtEveryThreadCount) {
       EXPECT_EQ(r.requests, 60);
 
       Client client(opts.socket_path);
-      const Client::RunResult warm = client.Run(SpecLine(threads), 1);
+      const Client::RunResult warm = client.Run(ShardedSpecLine(threads), 1);
       ASSERT_TRUE(warm.ok) << warm.error;
       EXPECT_EQ(warm.cached, "result");
       reference = warm.report;
@@ -70,7 +77,7 @@ TEST(ServiceConcurrencyTest, ByteIdentityAtEveryThreadCount) {
       Service service(opts);
       service.Start();
       Client client(opts.socket_path);
-      const Client::RunResult cold = client.Run(SpecLine(threads), 1);
+      const Client::RunResult cold = client.Run(ShardedSpecLine(threads), 1);
       ASSERT_TRUE(cold.ok) << cold.error;
       EXPECT_EQ(cold.cached, "none");
       EXPECT_EQ(cold.report, reference)

@@ -13,6 +13,7 @@
 //   --quiet        suppress the per-run text summary
 //   --help         usage
 // Exit status is 0 iff every run validated (ok == true).
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -147,7 +148,9 @@ int main(int argc, char** argv) {
     // engine defaults (same knobs as the benches); explicit
     // --engine/--cell/--threads flags win. When any default still comes
     // from the environment, all env knobs are validated — a typo'd value
-    // fails loudly even if overridden.
+    // fails loudly even if overridden. A thread count from the environment
+    // acts exactly like --threads (sweep workers too), so the printed spec
+    // line carries it and reproduces the run.
     bool engine_flag = false;
     bool cell_flag = false;
     bool threads_flag = false;
@@ -160,7 +163,11 @@ int main(int argc, char** argv) {
       const auto env_engine = dcc::sinr::Engine::Options::FromEnv();
       if (!engine_flag) spec.engine.mode = env_engine.mode;
       if (!cell_flag) spec.engine.cell = env_engine.cell;
-      if (!threads_flag) spec.engine.threads = env_engine.threads;
+      if (const char* env = std::getenv("DCC_ENGINE_THREADS");
+          !threads_flag && env != nullptr && *env != '\0') {
+        spec.threads = env_engine.threads;
+        spec.engine.threads = env_engine.threads;
+      }
     }
     if (!quiet) std::cout << "spec: " << spec.ToString() << '\n';
     if (!trace_path.empty()) dcc::obs::Tracer::Global().Enable();
